@@ -31,47 +31,40 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro._lazy import attach
 from repro.errors import ReproError
-from repro.fediverse import FediverseNetwork, ScenarioConfig, ScenarioGenerator, build_scenario
-from repro.crawler import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultRates,
-    FaultyTransport,
-    FollowerGraphCrawler,
-    InstanceMonitor,
-    ResilientTransport,
-    RetryPolicy,
-    SimulatedTransport,
-    TootCrawler,
-)
-from repro.datasets import GraphDataset, InstancesDataset, TootsDataset, TwitterBaselines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus import CorpusStore, GraphStore
+    from repro.crawler import CircuitBreaker, FaultRates, RetryPolicy
+    from repro.datasets import GraphDataset, InstancesDataset, TootsDataset
+    from repro.fediverse import FediverseNetwork
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CircuitBreaker",
-    "CollectedDatasets",
-    "FaultInjector",
-    "FaultRates",
-    "FaultyTransport",
-    "FediverseNetwork",
-    "GraphDataset",
-    "ResilientTransport",
-    "RetryPolicy",
-    "InstancesDataset",
-    "ReproError",
-    "ScenarioConfig",
-    "ScenarioGenerator",
-    "TootsDataset",
-    "TwitterBaselines",
-    "__version__",
-    "build_scenario",
-    "collect_datasets",
-]
+__getattr__, __dir__, _exports = attach(
+    __name__,
+    {
+        ".fediverse": ("FediverseNetwork", "ScenarioConfig", "ScenarioGenerator", "build_scenario"),
+        ".crawler": (
+            "CircuitBreaker",
+            "FaultInjector",
+            "FaultRates",
+            "FaultyTransport",
+            "FollowerGraphCrawler",
+            "InstanceMonitor",
+            "ResilientTransport",
+            "RetryPolicy",
+            "SimulatedTransport",
+            "TootCrawler",
+        ),
+        ".datasets": ("GraphDataset", "InstancesDataset", "TootsDataset", "TwitterBaselines"),
+    },
+)
+
+__all__ = sorted(
+    ["CollectedDatasets", "ReproError", "__version__", "collect_datasets", *_exports]
+)
 
 
 @dataclass
@@ -156,6 +149,19 @@ def collect_datasets(
     instances are never re-crawled; ``politeness_delay`` spaces
     per-instance requests (useful to widen the crash window in tests).
     """
+    from repro.crawler import (
+        FaultInjector,
+        FaultRates,
+        FaultyTransport,
+        FollowerGraphCrawler,
+        InstanceMonitor,
+        ResilientTransport,
+        RetryPolicy,
+        SimulatedTransport,
+        TootCrawler,
+    )
+    from repro.datasets import GraphDataset, InstancesDataset, TootsDataset
+
     transport = SimulatedTransport(network)
     if fault_rates is not None:
         rates = (

@@ -47,12 +47,12 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro import build_scenario, collect_datasets, obs
-from repro.crawler import FollowerGraphCrawler, SimulatedTransport, TootCrawler
-from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
+# Only what every invocation needs is imported here; each subcommand
+# imports the layers it runs, so e.g. ``experiments`` never pays for the
+# simulator, the crawler or scipy.
+from repro import obs
 from repro.errors import AnalysisError, ConfigurationError, DatasetError
-from repro.experiments import ExperimentContext, has_runner, run_experiments
-from repro.fediverse import build_columnar_scenario, preset_names
+from repro.fediverse import preset_names
 from repro.reporting import EXPERIMENTS, format_percentage, format_table
 
 #: The experiments whose scalars make up the ``report`` headline table.
@@ -449,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
+    from repro import build_scenario
+
     network = build_scenario(args.preset, seed=args.seed)
     stats = network.stats()
     print(
@@ -462,6 +464,8 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentContext, run_experiments
+
     ctx = ExperimentContext(
         preset=args.preset, seed=args.seed, monitor_interval_minutes=args.monitor_interval
     )
@@ -495,6 +499,10 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
+    from repro import build_scenario, collect_datasets
+    from repro.crawler import FollowerGraphCrawler, SimulatedTransport, TootCrawler
+    from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
+
     output = Path(args.output_dir)
     network = build_scenario(args.preset, seed=args.seed)
     data = collect_datasets(network, monitor_interval_minutes=args.monitor_interval)
@@ -520,6 +528,7 @@ def _collect_columnar(args: argparse.Namespace) -> "tuple[object, object | None]
         CorpusWriter,
         GraphWriter,
     )
+    from repro.fediverse import build_columnar_scenario
 
     scenario = build_columnar_scenario(args.preset, seed=args.seed)
     minute = scenario.config.window_minutes - 1
@@ -537,6 +546,8 @@ def _collect_columnar(args: argparse.Namespace) -> "tuple[object, object | None]
 
 
 def _command_collect(args: argparse.Namespace) -> int:
+    from repro import build_scenario, collect_datasets
+
     if not args.resume:
         if (Path(args.corpus_dir) / "manifest.json").exists():
             print(
@@ -631,6 +642,8 @@ def _command_collect(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments import has_runner
+
     rows = [
         [
             experiment.experiment_id,
@@ -646,6 +659,8 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentContext, run_experiments
+
     if args.run_all and args.experiment_ids:
         print("error: pass experiment ids or --all, not both", file=sys.stderr)
         return 2

@@ -34,89 +34,16 @@ incidence matrix per strategy across every failure schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.datasets.graphs import GraphDataset
-from repro.datasets.toots import TootsDataset
+from repro.engine.placement import PlacementMap
 
-
-class PlacementMap:
-    """For every toot (by URL), the set of instances holding a copy.
-
-    Two interchangeable backends: the legacy dict-of-frozensets
-    (``placements``) and the engine's integer-coded
-    :class:`~repro.engine.placement.PlacementArrays` (``arrays``).  The
-    vectorised builders hand over only the arrays; the dict view is
-    materialised lazily on first access, so the fast paths (incidence
-    construction, replica statistics) never pay for it.
-
-    Maps hash by object identity — the engine memoises one incidence
-    matrix per map — so treat a map as immutable once built.
-    """
-
-    def __init__(
-        self,
-        strategy: str,
-        placements: Mapping[str, frozenset[str]] | None = None,
-        *,
-        arrays: "PlacementArrays | None" = None,
-    ) -> None:
-        if placements is None and arrays is None:
-            raise AnalysisError(
-                "a placement map needs a placements dict or an arrays backend"
-            )
-        self.strategy = strategy
-        self.arrays = arrays
-        self._placements = dict(placements) if placements is not None else None
-
-    @property
-    def placements(self) -> dict[str, frozenset[str]]:
-        """The dict-of-frozensets view (materialised lazily from arrays)."""
-        if self._placements is None:
-            self._placements = self.arrays.to_placement_dict()
-        return self._placements
-
-    def __repr__(self) -> str:
-        backend = "dict" if self.arrays is None else "arrays"
-        return (
-            f"PlacementMap(strategy={self.strategy!r}, toots={len(self)}, "
-            f"backend={backend})"
-        )
-
-    def __len__(self) -> int:
-        if self._placements is not None:
-            return len(self._placements)
-        return self.arrays.n_toots
-
-    def replica_counts(self) -> list[int]:
-        """Number of copies *beyond the home instance* for every toot."""
-        return self._replica_count_array().tolist()
-
-    def _replica_count_array(self) -> np.ndarray:
-        if self.arrays is not None:
-            return self.arrays.replica_counts()
-        return np.asarray(
-            [max(0, len(holders) - 1) for holders in self.placements.values()],
-            dtype=np.int64,
-        )
-
-    def replication_summary(self) -> dict[str, float]:
-        """Share of toots with no replica and with more than ten replicas.
-
-        The paper reports that under subscription replication 9.7% of
-        toots have no replica while 23% have more than ten.
-        """
-        counts = self._replica_count_array()
-        if counts.size == 0:
-            raise AnalysisError("the placement map is empty")
-        return {
-            "mean_replicas": float(np.mean(counts)),
-            "share_without_replica": int((counts == 0).sum()) / counts.size,
-            "share_with_more_than_10": int((counts > 10).sum()) / counts.size,
-        }
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datasets.graphs import GraphDataset
+    from repro.datasets.toots import TootsDataset
 
 
 def no_replication(toots: TootsDataset) -> PlacementMap:

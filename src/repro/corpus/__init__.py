@@ -43,38 +43,20 @@ corpus-built placements — and every availability curve derived from
 them — bit-identical to the record-list path.
 """
 
-from repro.corpus.columns import COLUMN_NAMES, CORPUS_SCHEMA, TootColumns
-from repro.corpus.journal import CrawlJournal, InstanceProgress, JournalReplay
-from repro.corpus.graph import (
-    DEFAULT_GRAPH_SHARD_SIZE,
-    GRAPH_SCHEMA,
-    GraphStore,
-    GraphWriter,
-)
-from repro.corpus.store import CorpusStore, CorpusUrls
-from repro.corpus.writer import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter
-from repro.corpus.placement import (
-    build_no_replication_from_corpus,
-    build_random_replication_from_corpus,
-    build_subscription_replication_from_corpus,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "COLUMN_NAMES",
-    "CORPUS_SCHEMA",
-    "CorpusStore",
-    "CorpusUrls",
-    "CorpusWriter",
-    "CrawlJournal",
-    "InstanceProgress",
-    "JournalReplay",
-    "DEFAULT_CORPUS_SHARD_SIZE",
-    "DEFAULT_GRAPH_SHARD_SIZE",
-    "GRAPH_SCHEMA",
-    "GraphStore",
-    "GraphWriter",
-    "TootColumns",
-    "build_no_replication_from_corpus",
-    "build_random_replication_from_corpus",
-    "build_subscription_replication_from_corpus",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".columns": ("COLUMN_NAMES", "CORPUS_SCHEMA", "TootColumns"),
+        ".journal": ("CrawlJournal", "InstanceProgress", "JournalReplay"),
+        ".graph": ("DEFAULT_GRAPH_SHARD_SIZE", "GRAPH_SCHEMA", "GraphStore", "GraphWriter"),
+        ".store": ("CorpusStore", "CorpusUrls"),
+        ".writer": ("DEFAULT_CORPUS_SHARD_SIZE", "CorpusWriter"),
+        ".placement": (
+            "build_no_replication_from_corpus",
+            "build_random_replication_from_corpus",
+            "build_subscription_replication_from_corpus",
+        ),
+    },
+)

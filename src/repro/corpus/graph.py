@@ -49,7 +49,7 @@ from repro.corpus.writer import (
     _string_array,
     _write_strings,
 )
-from repro.crawler.graph_crawler import split_handle
+from repro.handles import split_handle
 
 #: On-disk graph format version.
 GRAPH_SCHEMA = "repro.graph/v1"

@@ -89,18 +89,60 @@ def build_twitter_follower_graph(
     ).astype(int)
 
     # ~5% of accounts are isolated lurkers (the paper's Twitter LCC is ~95%).
-    lurkers = set(int(i) for i in rng.choice(n_users, size=max(1, n_users // 20), replace=False))
+    lurkers = rng.choice(n_users, size=max(1, n_users // 20), replace=False)
+    is_lurker = np.zeros(n_users, dtype=bool)
+    is_lurker[lurkers] = True
 
-    for index in range(n_users):
-        if index in lurkers:
-            continue
-        k = int(min(out_degrees[index], n_users - 1))
-        targets = rng.choice(n_users, size=k, replace=False, p=probabilities)
-        for target in targets:
-            target = int(target)
-            if target != index and target not in lurkers:
-                graph.add_edge(nodes[index], nodes[target])
+    followers = np.flatnonzero(~is_lurker)
+    sizes = np.minimum(out_degrees[followers], n_users - 1)
+    targets = np.concatenate(_choice_rows(rng, probabilities, sizes.tolist()))
+    sources = np.repeat(followers, sizes)
+    keep = (targets != sources) & ~is_lurker[targets]
+    graph.add_edges_from(
+        zip(
+            map(nodes.__getitem__, sources[keep].tolist()),
+            map(nodes.__getitem__, targets[keep].tolist()),
+        )
+    )
     return graph
+
+
+def _choice_rows(
+    rng: np.random.Generator, probabilities: np.ndarray, sizes: list[int]
+) -> list[np.ndarray]:
+    """``[rng.choice(n, k, replace=False, p=probabilities) for k in sizes]``, draw for draw.
+
+    ``Generator.choice`` copies ``p`` and rebuilds its CDF over all ``n``
+    entries on every call.  Here every row's first round searches one
+    shared CDF; only a row whose first round repeats an index runs
+    numpy's re-draw loop (found entries zeroed, CDF rebuilt, first
+    occurrences kept in order).  The uniforms are drawn exactly as
+    ``choice`` draws them, so the generator ends in the same state.
+    """
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    rows = []
+    for k in sizes:
+        row = cdf.searchsorted(rng.random(k), side="right")
+        if len(set(row.tolist())) == k:
+            rows.append(row)
+            continue
+        found = np.empty(k, dtype=np.int64)
+        n_found = 0
+        weights = probabilities.copy()
+        while True:
+            _, first = np.unique(row, return_index=True)
+            first.sort()
+            found[n_found : n_found + first.size] = row.take(first)
+            n_found += first.size
+            if n_found == k:
+                break
+            weights[found[:n_found]] = 0
+            redraw_cdf = np.cumsum(weights)
+            redraw_cdf /= redraw_cdf[-1]
+            row = redraw_cdf.searchsorted(rng.random(k - n_found), side="right")
+        rows.append(found)
+    return rows
 
 
 @dataclass

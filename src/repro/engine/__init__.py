@@ -8,7 +8,7 @@ and :mod:`repro.core.resilience`.  It models the expensive objects once —
   :mod:`repro.engine.placement`: batched random draws (Gumbel top-k for
   the weighted case) and a one-pass subscription builder;
 * :class:`TootIncidence` — a toot×instance CSR incidence matrix built
-  from a :class:`~repro.core.replication.PlacementMap` (plus an
+  from a :class:`~repro.engine.placement.PlacementMap` (plus an
   instance→AS assignment vector), assembled directly from the arrays
   backend and memoised per placement map;
 * :class:`GraphMatrix` — a binary CSR adjacency matrix with the node
@@ -31,100 +31,62 @@ differential suite in ``tests/engine/test_equivalence.py``.  New failure
 models subclass :class:`FailureModel` — see :mod:`repro.engine.failures`.
 """
 
-from repro.engine.failures import (
-    ASRemoval,
-    CountryRemoval,
-    FailureModel,
-    GroupedRemoval,
-    HosterRemoval,
-    InstanceRemoval,
-    ScheduledDowntime,
-    TemporalChurn,
-    TemporalFailureModel,
-)
-from repro.engine.incidence import DomainLookup, NEVER_REMOVED, TootIncidence
-from repro.engine.sharding import (
-    AUTO_SHARD_THRESHOLD,
-    DEFAULT_SHARD_SIZE,
-    IncidenceShard,
-    ShardedIncidence,
-    sharded_availability_curves,
-    streaming_losses,
-)
-from repro.engine.placement import (
-    PlacementArrays,
-    build_no_replication,
-    build_random_replication,
-    build_subscription_replication,
-)
-from repro.engine.kernels import (
-    availability_curve_array,
-    availability_curves_batch,
-    availability_from_losses,
-    kill_steps,
-    kill_steps_batch,
-    losses_per_step,
-    losses_per_step_batch,
-    losses_per_step_rows,
-    temporal_availability_from_counts,
-    temporal_removal_matrix,
-)
-from repro.engine.resilience import (
-    GraphMatrix,
-    as_removal_sweep_matrix,
-    ranked_removal_sweep_matrix,
-    user_removal_sweep_matrix,
-)
-from repro.engine.sweep import (
-    StrategySpec,
-    SweepResult,
-    availability_curve,
-    availability_curves,
-    random_strategy_grid,
-    run_availability_sweep,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ASRemoval",
-    "AUTO_SHARD_THRESHOLD",
-    "CountryRemoval",
-    "DEFAULT_SHARD_SIZE",
-    "DomainLookup",
-    "FailureModel",
-    "GraphMatrix",
-    "GroupedRemoval",
-    "HosterRemoval",
-    "IncidenceShard",
-    "InstanceRemoval",
-    "NEVER_REMOVED",
-    "ScheduledDowntime",
-    "TemporalChurn",
-    "TemporalFailureModel",
-    "PlacementArrays",
-    "ShardedIncidence",
-    "StrategySpec",
-    "SweepResult",
-    "TootIncidence",
-    "as_removal_sweep_matrix",
-    "availability_curve",
-    "availability_curve_array",
-    "availability_curves",
-    "availability_curves_batch",
-    "availability_from_losses",
-    "build_no_replication",
-    "build_random_replication",
-    "build_subscription_replication",
-    "kill_steps",
-    "kill_steps_batch",
-    "losses_per_step",
-    "losses_per_step_batch",
-    "losses_per_step_rows",
-    "random_strategy_grid",
-    "ranked_removal_sweep_matrix",
-    "run_availability_sweep",
-    "sharded_availability_curves",
-    "streaming_losses",
-    "temporal_availability_from_counts",
-    "temporal_removal_matrix",
-    "user_removal_sweep_matrix",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".failures": (
+            "ASRemoval",
+            "CountryRemoval",
+            "FailureModel",
+            "GroupedRemoval",
+            "HosterRemoval",
+            "InstanceRemoval",
+            "ScheduledDowntime",
+            "TemporalChurn",
+            "TemporalFailureModel",
+        ),
+        ".incidence": ("DomainLookup", "NEVER_REMOVED", "TootIncidence"),
+        ".sharding": (
+            "AUTO_SHARD_THRESHOLD",
+            "DEFAULT_SHARD_SIZE",
+            "IncidenceShard",
+            "ShardedIncidence",
+            "sharded_availability_curves",
+            "streaming_losses",
+        ),
+        ".placement": (
+            "PlacementArrays",
+            "build_no_replication",
+            "build_random_replication",
+            "build_subscription_replication",
+        ),
+        ".kernels": (
+            "availability_curve_array",
+            "availability_curves_batch",
+            "availability_from_losses",
+            "kill_steps",
+            "kill_steps_batch",
+            "losses_per_step",
+            "losses_per_step_batch",
+            "losses_per_step_rows",
+            "temporal_availability_from_counts",
+            "temporal_removal_matrix",
+        ),
+        ".resilience": (
+            "GraphMatrix",
+            "as_removal_sweep_matrix",
+            "ranked_removal_sweep_matrix",
+            "user_removal_sweep_matrix",
+        ),
+        ".sweep": (
+            "StrategySpec",
+            "SweepResult",
+            "availability_curve",
+            "availability_curves",
+            "random_strategy_grid",
+            "run_availability_sweep",
+        ),
+    },
+)

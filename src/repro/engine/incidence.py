@@ -3,7 +3,7 @@
 A :class:`TootIncidence` is a binary CSR matrix with one row per toot and
 one column per instance domain; ``matrix[t, d] == 1`` iff instance ``d``
 holds a copy of toot ``t``.  It is built **once** from a
-:class:`~repro.core.replication.PlacementMap` and then reduced many times
+:class:`~repro.engine.placement.PlacementMap` and then reduced many times
 by the batch kernels in :mod:`repro.engine.kernels` — one availability
 curve per removal schedule, with no per-toot Python loop.
 

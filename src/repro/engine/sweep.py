@@ -28,19 +28,12 @@ automatically; ``shard_size=0`` forces the monolithic path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import AnalysisError
-from repro.core.replication import (
-    AvailabilityPoint,
-    PlacementMap,
-    no_replication,
-    random_replication,
-    subscription_replication,
-)
 from repro.engine.failures import FailureModel
 from repro.engine.incidence import TootIncidence
 from repro.engine.kernels import (
@@ -49,6 +42,7 @@ from repro.engine.kernels import (
     temporal_availability_from_counts,
     temporal_removal_matrix,
 )
+from repro.engine.placement import PlacementArrays, PlacementMap
 from repro.engine.sharding import (
     AUTO_SHARD_THRESHOLD,
     DEFAULT_SHARD_SIZE,
@@ -56,8 +50,13 @@ from repro.engine.sharding import (
     streaming_losses,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.replication import AvailabilityPoint
+
 
 def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
+    from repro.core.replication import AvailabilityPoint
+
     return [
         AvailabilityPoint(removed=step, availability=float(value))
         for step, value in enumerate(curve)
@@ -254,6 +253,12 @@ class StrategySpec:
         graphs: "GraphDataset | None" = None,
         candidate_domains: Sequence[str] | None = None,
     ) -> PlacementMap:
+        from repro.core.replication import (
+            no_replication,
+            random_replication,
+            subscription_replication,
+        )
+
         if self.kind == "none":
             return no_replication(toots)
         if self.kind == "subscription":
@@ -285,8 +290,6 @@ class StrategySpec:
         resulting map is bit-identical to :meth:`build` on the
         equivalent record-backed dataset, without materialising records.
         """
-        from repro.engine.placement import PlacementArrays
-
         arrays = PlacementArrays.from_corpus(
             store,
             self.kind,

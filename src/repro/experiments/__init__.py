@@ -19,12 +19,12 @@ paper over that shared context.  The CLI's ``run`` subcommand and every
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
+from repro._lazy import attach
 from repro.errors import AnalysisError
 from repro.reporting.experiments import EXPERIMENTS, get_experiment
-from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import (
     Runner,
     has_runner,
@@ -38,6 +38,12 @@ from repro.experiments.results import (
     ResultSeries,
     ResultTable,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.context import ExperimentContext
+
+# the context builds the whole pipeline; load it only when a run needs it
+__getattr__, __dir__, _ = attach(__name__, {".context": ("ExperimentContext",)})
 
 __all__ = [
     "RESULT_SCHEMA",
@@ -111,6 +117,8 @@ def run_experiments(
             raise AnalysisError(f"duplicate experiment id: {experiment_id!r}")
         seen.add(experiment_id)
     if ctx is None:
+        from repro.experiments.context import ExperimentContext
+
         ctx = ExperimentContext(
             preset=preset, seed=seed, monitor_interval_minutes=monitor_interval_minutes
         )

@@ -7,13 +7,14 @@ durations and the AS-wide failure table.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.core import availability
-from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
 from repro.reporting import format_percentage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.context import ExperimentContext
 
 #: Minimum co-located instances for an AS-wide failure report (the paper
 #: uses 8 at full 4,328-instance scale; 3 matches the benchmark scenarios).
@@ -22,6 +23,10 @@ TABLE1_MIN_INSTANCES = 3
 
 @register_runner("fig7")
 def run_fig7(ctx: ExperimentContext) -> ExperimentResult:
+    import numpy as np
+
+    from repro.core import availability
+
     cdf = availability.downtime_cdf(ctx.data.instances)
     headlines = availability.downtime_headlines(ctx.data.instances)
     impacts = availability.unavailability_impact(ctx.data.instances)
@@ -74,6 +79,8 @@ def run_fig7(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig8")
 def run_fig8(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import availability
+
     edges = availability.scaled_toot_bins(ctx.data.instances)
     bins = availability.daily_downtime_by_popularity(ctx.data.instances, bin_edges=edges)
     comparison = availability.twitter_downtime_comparison(
@@ -117,6 +124,8 @@ def run_fig8(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig9")
 def run_fig9(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import availability
+
     footprint = availability.certificate_footprint(ctx.data.instances)
     window_days = ctx.network.clock.window_days
     expiry_series = availability.certificate_expiry_outages(ctx.network.certificates, window_days)
@@ -161,6 +170,10 @@ def run_fig9(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig10")
 def run_fig10(ctx: ExperimentContext) -> ExperimentResult:
+    import numpy as np
+
+    from repro.core import availability
+
     report = availability.outage_durations(ctx.data.instances, min_days=1.0)
     durations = report.durations_days
     return ExperimentResult.build(
@@ -196,6 +209,8 @@ def run_fig10(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("table1")
 def run_table1(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import availability
+
     reports = availability.detect_as_failures(
         ctx.data.instances, geo=ctx.network.geo, min_instances=TABLE1_MIN_INSTANCES
     )

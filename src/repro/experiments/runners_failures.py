@@ -13,20 +13,26 @@ correlated and temporal failures: does replication still help?
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.engine import StrategySpec
-from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
 from repro.reporting import format_percentage
 
-#: The strategy grid shared by both failure experiments.
-STRATEGIES = (
-    StrategySpec.none(),
-    StrategySpec.subscription(),
-    StrategySpec.random(2, name="n=2"),
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sweep import StrategySpec
+    from repro.experiments.context import ExperimentContext
+
+
+def _strategies() -> list[StrategySpec]:
+    """The strategy grid shared by both failure experiments."""
+    from repro.engine.sweep import StrategySpec
+
+    return [
+        StrategySpec.none(),
+        StrategySpec.subscription(),
+        StrategySpec.random(2, name="n=2"),
+    ]
 
 
 def _curve_series(name: str, curve) -> ResultSeries:
@@ -52,7 +58,7 @@ def _tick_series(name: str, curve) -> ResultSeries:
 @register_runner("correlated")
 def run_correlated(ctx: ExperimentContext) -> ExperimentResult:
     failures = ctx.correlated_failures()
-    result = ctx.sweep(list(STRATEGIES), failures)
+    result = ctx.sweep(_strategies(), failures)
 
     removals = (1, 2, 3, 5)
     tables = []
@@ -105,8 +111,10 @@ def run_correlated(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("churn")
 def run_churn(ctx: ExperimentContext) -> ExperimentResult:
+    import numpy as np
+
     failures = ctx.churn_failures()
-    result = ctx.sweep(list(STRATEGIES), failures)
+    result = ctx.sweep(_strategies(), failures)
 
     def availability_values(strategy: str, failure_name: str) -> np.ndarray:
         # drop index 0: it is the no-outage baseline, not a probed tick

@@ -8,15 +8,20 @@ returns a structured :class:`~repro.experiments.results.ExperimentResult`.
 
 from __future__ import annotations
 
-from repro.core import categories, centralisation, growth, hosting
-from repro.experiments.context import ExperimentContext
+from typing import TYPE_CHECKING
+
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
 from repro.reporting import format_percentage
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.context import ExperimentContext
+
 
 @register_runner("fig1")
 def run_fig1(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import growth
+
     series = growth.growth_timeseries(ctx.data.instances)
     summary = growth.growth_summary(ctx.data.instances)
     sampled = series[:: max(1, len(series) // 12)]
@@ -53,6 +58,8 @@ def run_fig1(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig2")
 def run_fig2(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import centralisation
+
     count_cdfs = centralisation.per_instance_count_cdfs(ctx.data.instances)
     split = centralisation.registration_split(ctx.data.instances)
     activity_cdfs = centralisation.activity_level_cdfs(ctx.data.instances)
@@ -103,6 +110,8 @@ def run_fig2(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig3")
 def run_fig3(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import categories
+
     shares = categories.category_breakdown(ctx.data.instances)
     coverage = categories.tagging_coverage(ctx.data.instances)
     by_category = {share.category: share for share in shares}
@@ -142,6 +151,8 @@ def run_fig3(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig4")
 def run_fig4(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import categories
+
     shares = categories.activity_breakdown(ctx.data.instances)
     coverage = categories.policy_coverage(ctx.data.instances)
     by_prohibited = sorted(shares, key=lambda s: s.prohibit_instance_share, reverse=True)
@@ -181,6 +192,8 @@ def run_fig4(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig5")
 def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import hosting
+
     countries = hosting.country_breakdown(ctx.data.instances, top=5)
     ases = hosting.asn_breakdown(ctx.data.instances, top=5)
     top3_as = hosting.top_as_user_share(ctx.data.instances, top=3)
@@ -220,6 +233,8 @@ def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig6")
 def run_fig6(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import hosting
+
     flows = hosting.country_federation_flows(
         ctx.data.graphs.federation_graph, ctx.data.instances, top_sources=5
     )
@@ -260,6 +275,8 @@ def run_fig6(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("headline")
 def run_headline(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import centralisation
+
     metrics = centralisation.concentration_metrics(ctx.data.instances)
     half_fraction = centralisation.smallest_fraction_hosting_share(ctx.data.instances, share=0.5)
     return ExperimentResult.build(

@@ -11,12 +11,14 @@ rebuilding them.
 
 from __future__ import annotations
 
-from repro.core import replication
-from repro.engine import StrategySpec
-from repro.experiments.context import ExperimentContext
+from typing import TYPE_CHECKING
+
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
 from repro.reporting import format_percentage
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.context import ExperimentContext
 
 FIG16_REPLICA_COUNTS = (1, 2, 3, 4, 7, 9)
 FIG16_SEED = 7
@@ -34,6 +36,9 @@ def _curve_series(name: str, curve) -> ResultSeries:
 
 @register_runner("fig15")
 def run_fig15(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import replication
+    from repro.engine.sweep import StrategySpec
+
     failures = ctx.standard_failures()
     result = ctx.sweep(
         [StrategySpec.none(), StrategySpec.subscription()],
@@ -119,6 +124,8 @@ def run_fig15(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig16")
 def run_fig16(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.engine.sweep import StrategySpec
+
     capacity = {domain: 1.0 + users for domain, users in ctx.users_per_instance.items()}
     strategies = [
         StrategySpec.none(name="no-rep"),

@@ -8,14 +8,14 @@ runner here touches the legacy ``_*_python`` loops.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.core import federation_analysis, resilience
-from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
 from repro.reporting import format_percentage
-from repro.stats.distributions import fit_power_law_exponent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.context import ExperimentContext
 
 FIG12_ROUNDS = 10
 FIG13_INSTANCE_STEPS = 30
@@ -24,6 +24,11 @@ FIG13_AS_STEPS = 15
 
 @register_runner("fig11")
 def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
+    import numpy as np
+
+    from repro.core import resilience
+    from repro.stats.distributions import fit_power_law_exponent
+
     follower_degrees = ctx.data.graphs.out_degrees()
     federation_degrees = ctx.data.graphs.federation_out_degrees()
     twitter_degrees = [degree for _, degree in ctx.twitter.follower_graph.out_degree()]
@@ -65,6 +70,8 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig12")
 def run_fig12(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import resilience
+
     mastodon_steps = resilience.user_removal_sweep(
         ctx.data.graphs.follower_graph, rounds=FIG12_ROUNDS, fraction_per_round=0.01
     )
@@ -113,6 +120,8 @@ def run_fig12(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig13")
 def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import resilience
+
     federation = ctx.data.graphs.federation_graph
     users = ctx.users_per_instance
     reported_toots = ctx.data.instances.toots_per_instance()
@@ -196,6 +205,8 @@ def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig14")
 def run_fig14(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import federation_analysis
+
     points = federation_analysis.home_remote_series(ctx.data.toots)
     summary = federation_analysis.feeder_summary(ctx.data.toots)
     sampled = points[:: max(1, len(points) // 12)]
@@ -247,6 +258,8 @@ def run_fig14(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("table2")
 def run_table2(ctx: ExperimentContext) -> ExperimentResult:
+    from repro.core import federation_analysis
+
     rows_data = federation_analysis.top_instances_report(
         ctx.data.toots, ctx.data.graphs, ctx.data.instances, top=10
     )

@@ -7,71 +7,33 @@ process, exposed through the same API surface the paper crawled
 (``/api/v1/instance``, federated timelines, follower pages).
 """
 
-from repro.fediverse.entities import (
-    ActivityPolicy,
-    ActivityType,
-    Category,
-    Follow,
-    InstanceDescriptor,
-    OperatorType,
-    RegistrationPolicy,
-    Software,
-    Toot,
-    User,
-    UserRef,
-    Visibility,
-)
-from repro.fediverse.geo import AutonomousSystem, GeoDatabase, GeoRecord, WELL_KNOWN_ASES
-from repro.fediverse.certificates import Certificate, CertificateRegistry, CERTIFICATE_AUTHORITIES
-from repro.fediverse.uptime import AvailabilitySchedule, Outage, OutageCause
-from repro.fediverse.instance import InstanceServer
-from repro.fediverse.network import FediverseNetwork
-from repro.fediverse.workload import (
-    ScenarioConfig,
-    ScenarioGenerator,
-    build_scenario,
-    preset_names,
-    scenario_config,
-)
-from repro.fediverse.columnar import (
-    ColumnarScenario,
-    ColumnarScenarioGenerator,
-    build_columnar_scenario,
-)
-from repro.fediverse.timeline import ColumnarTimeline
+from repro._lazy import attach
 
-__all__ = [
-    "ActivityPolicy",
-    "ActivityType",
-    "AutonomousSystem",
-    "AvailabilitySchedule",
-    "CERTIFICATE_AUTHORITIES",
-    "Category",
-    "Certificate",
-    "CertificateRegistry",
-    "ColumnarScenario",
-    "ColumnarScenarioGenerator",
-    "ColumnarTimeline",
-    "FediverseNetwork",
-    "Follow",
-    "GeoDatabase",
-    "GeoRecord",
-    "InstanceDescriptor",
-    "InstanceServer",
-    "OperatorType",
-    "Outage",
-    "OutageCause",
-    "RegistrationPolicy",
-    "ScenarioConfig",
-    "ScenarioGenerator",
-    "Software",
-    "Toot",
-    "User",
-    "UserRef",
-    "Visibility",
-    "WELL_KNOWN_ASES",
-    "build_columnar_scenario",
-    "build_scenario",
-    "preset_names",
-    "scenario_config",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".entities": (
+            "ActivityPolicy",
+            "ActivityType",
+            "Category",
+            "Follow",
+            "InstanceDescriptor",
+            "OperatorType",
+            "RegistrationPolicy",
+            "Software",
+            "Toot",
+            "User",
+            "UserRef",
+            "Visibility",
+        ),
+        ".geo": ("AutonomousSystem", "GeoDatabase", "GeoRecord", "WELL_KNOWN_ASES"),
+        ".certificates": ("Certificate", "CertificateRegistry", "CERTIFICATE_AUTHORITIES"),
+        ".uptime": ("AvailabilitySchedule", "Outage", "OutageCause"),
+        ".instance": ("InstanceServer",),
+        ".network": ("FediverseNetwork",),
+        ".presets": ("ScenarioConfig", "preset_names", "scenario_config"),
+        ".workload": ("ScenarioGenerator", "build_scenario"),
+        ".columnar": ("ColumnarScenario", "ColumnarScenarioGenerator", "build_columnar_scenario"),
+        ".timeline": ("ColumnarTimeline",),
+    },
+)

@@ -1,18 +1,13 @@
 """Rendering helpers: text tables, figure series and the experiment index."""
 
-from repro.reporting.tables import format_table, format_percentage
-from repro.reporting.figures import FigureSeries, cdf_series, curve_series
-from repro.reporting.experiments import EXPERIMENTS, Experiment, get_experiment
-from repro.reporting.sweeps import format_sweep_table
+from repro._lazy import attach
 
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "FigureSeries",
-    "cdf_series",
-    "curve_series",
-    "format_percentage",
-    "format_sweep_table",
-    "format_table",
-    "get_experiment",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".tables": ("format_percentage", "format_table"),
+        ".figures": ("FigureSeries", "cdf_series", "curve_series"),
+        ".experiments": ("EXPERIMENTS", "Experiment", "get_experiment"),
+        ".sweeps": ("format_sweep_table",),
+    },
+)

@@ -41,6 +41,32 @@ _ROUTES = {
 }
 
 
+def _json(status: int, payload: dict) -> tuple[int, bytes, str]:
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return status, body, "application/json"
+
+
+def _answer(service: AvailabilityService, path: str, query: str) -> tuple[int, bytes, str]:
+    """The status, body and content type of the reply to ``GET path?query``."""
+    if path == "/health":
+        return _json(200, {"status": "ok"})
+    if path == "/metrics":
+        body = obs.metrics().render_prometheus().encode("utf-8")
+        return 200, body, "text/plain; version=0.0.4; charset=utf-8"
+    verb = _ROUTES.get(path)
+    if verb is None:
+        return _json(
+            404,
+            {"error": f"unknown endpoint {path!r}",
+             "endpoints": sorted(_ROUTES) + ["/health", "/metrics"]},
+        )
+    params = dict(parse_qsl(query))
+    try:
+        return _json(200, handle_query(service, verb, params))
+    except ReproError as exc:
+        return _json(400, {"error": str(exc)})
+
+
 def build_http_server(
     service: AvailabilityService, host: str = "127.0.0.1", port: int = 8015
 ) -> ThreadingHTTPServer:
@@ -52,48 +78,16 @@ def build_http_server(
     """
 
     class Handler(BaseHTTPRequestHandler):
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self._reply_bytes(status, body, "application/json")
-
-        def _reply_bytes(self, status: int, body: bytes, content_type: str) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
         def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
             parsed = urlsplit(self.path)
             path = parsed.path.rstrip("/") or "/"
             started = time.perf_counter()
-            status = 200
+            status = 500  # stays 500 only if the answer raised unexpectedly
             try:
-                if path == "/health":
-                    self._reply(200, {"status": "ok"})
-                    return
-                if path == "/metrics":
-                    body = obs.metrics().render_prometheus().encode("utf-8")
-                    self._reply_bytes(
-                        200, body, "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    return
-                verb = _ROUTES.get(path)
-                if verb is None:
-                    status = 404
-                    self._reply(
-                        404,
-                        {"error": f"unknown endpoint {path!r}",
-                         "endpoints": sorted(_ROUTES) + ["/health", "/metrics"]},
-                    )
-                    return
-                params = dict(parse_qsl(parsed.query))
-                try:
-                    self._reply(200, handle_query(service, verb, params))
-                except ReproError as exc:
-                    status = 400
-                    self._reply(400, {"error": str(exc)})
+                status, body, content_type = _answer(service, path, parsed.query)
             finally:
+                # recorded before the reply goes out, so a client that reads
+                # /metrics right after its answer always sees its request
                 registry = obs.metrics()
                 registry.observe(
                     "repro_serve_request_seconds",
@@ -103,6 +97,11 @@ def build_http_server(
                 registry.inc(
                     "repro_serve_requests_total", endpoint=path, status=str(status)
                 )
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
         def log_message(self, *args) -> None:  # silence per-request stderr noise
             pass

@@ -10,9 +10,11 @@ from repro.datasets.graphs import largest_connected_component_fraction
 from repro.datasets.twitter import (
     TWITTER_2007_MEAN_DOWNTIME,
     TwitterBaselines,
+    _choice_rows,
     build_twitter_follower_graph,
     twitter_daily_downtime,
 )
+from reference.twitter import build_twitter_follower_graph as reference_follower_graph
 
 
 class TestDowntimeBaseline:
@@ -64,6 +66,35 @@ class TestFollowerGraphBaseline:
             build_twitter_follower_graph(n_users=5)
         with pytest.raises(ConfigurationError):
             build_twitter_follower_graph(n_users=100, mean_out_degree=0)
+
+
+class TestFollowerGraphMatchesReference:
+    """The block-drawn graph equals the per-user ``rng.choice`` loop exactly."""
+
+    @pytest.mark.parametrize(
+        "n_users, seed",
+        # 10 and 12 users: rows of up to n-1 targets, so re-draws are certain
+        [(10, 0), (12, 3), (40, 1), (300, 5), (1500, 6), (5000, 2015)],
+    )
+    def test_identical_node_order_and_edge_lists(self, n_users, seed):
+        expected = reference_follower_graph(n_users=n_users, seed=seed)
+        graph = build_twitter_follower_graph(n_users=n_users, seed=seed)
+        assert list(graph.nodes) == list(expected.nodes)
+        assert list(graph.edges) == list(expected.edges)
+        assert list(graph.in_edges) == list(expected.in_edges)
+
+    def test_rows_replay_generator_choice_through_redraws(self):
+        # one index holds half the mass: every row of 30+ out of 50 repeats
+        # it in its first round, and most need several re-draw rounds
+        probabilities = np.full(50, 0.5 / 49)
+        probabilities[7] = 0.5
+        sizes = [5, 30, 1, 49, 12, 3, 50, 2]
+        rng = np.random.default_rng(3)
+        expected = [rng.choice(50, k, replace=False, p=probabilities) for k in sizes]
+        block_rng = np.random.default_rng(3)
+        rows = _choice_rows(block_rng, probabilities, sizes)
+        assert [row.tolist() for row in rows] == [row.tolist() for row in expected]
+        assert block_rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestBundle:

@@ -88,6 +88,24 @@ class TestMetricsEndpoint:
         assert not body.startswith("{")
 
 
+class TestMetricsRecordedBeforeReply:
+    def test_each_error_is_counted_by_the_time_its_reply_arrives(self, http_base):
+        # the handler records a request before writing the reply, so the
+        # counter read straight after each reply already includes it
+        obs.metrics().reset()
+        registry = obs.metrics()
+        requests = [("/nowhere", {}, 404), ("/availability", {"k": "ten"}, 400)]
+        for n in range(1, 41):
+            for path, params, code in requests:
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    get_raw(http_base, path, **params)
+                info.value.close()
+                assert info.value.code == code
+                assert registry.counter_value(
+                    "repro_serve_requests_total", endpoint=path, status=str(code)
+                ) == n
+
+
 class TestStatsVerb:
     def test_stats_over_http(self, service, http_base):
         service.warm(["no-rep"])
