@@ -8,6 +8,8 @@ reported shapes are not artefacts of one particular scale.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.fediverse import ScenarioConfig, ScenarioGenerator
 from repro.reporting import format_percentage, format_table
 from repro.stats.distributions import pareto_share
@@ -23,11 +25,11 @@ def test_ablation_scale_stability(benchmark):
         results = {}
         for scale in SCALES:
             config = ScenarioConfig.tiny(seed=17).scaled(scale)
-            network = ScenarioGenerator(config).generate()
-            users = [len(instance.users) for instance in network.instances()]
+            scenario = ScenarioGenerator(config).generate()
+            users = np.bincount(scenario.user_instance, minlength=scenario.n_instances).tolist()
             results[scale] = {
-                "instances": len(network),
-                "users": network.total_users(),
+                "instances": scenario.n_instances,
+                "users": scenario.n_users,
                 "top10_user_share": pareto_share(users, 0.10),
                 "gini": gini_coefficient(users),
             }

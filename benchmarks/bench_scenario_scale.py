@@ -1,32 +1,32 @@
-"""Columnar scenario generation vs the object network (the PR 7 gate).
+"""Columnar scenario generation vs its object-network view.
 
-The legacy :class:`~repro.fediverse.workload.ScenarioGenerator` builds a
+:class:`~repro.fediverse.workload.ScenarioGenerator` draws the
+population as whole numpy columns (a
+:class:`~repro.fediverse.columnar.ColumnarScenario`);
+:func:`~repro.fediverse.build_scenario` replays those columns into a
 :class:`FediverseNetwork` of Python objects — one ``Toot`` dataclass per
-toot, one ``UserRef`` per user, dict-of-list timelines — which tops out
-around the ``large`` preset (~1M toots) at several GiB of RSS.  The
-columnar twin (:mod:`repro.fediverse.columnar`) draws the same
-population as whole numpy columns and serves ``Timeline.page``-shaped
-pages lazily, so the ``xlarge`` preset (10M+ toots) fits in a few
-hundred MiB.  This benchmark drives both generators at the same preset
-in separate subprocesses and gates two claims:
+toot, one ``UserRef`` per user, dict-of-list timelines — for the
+in-memory crawl.  The columns serve ``Timeline.page``-shaped pages
+lazily and stream to stores, so the ``xlarge`` preset (10M+ toots) fits
+in a few hundred MiB.  This benchmark builds both at the same preset in
+separate subprocesses and gates two claims:
 
-1. **population agreement** — instance and user counts match exactly
-   (descriptor draws are shared code) and toot/follow counts agree
-   within 5% (the columnar path draws its own RNG stream, so the
-   populations are statistically matched, not bit-identical);
+1. **population agreement** — all six population stats (instances,
+   users, toots, public toots, follow edges, federation edges) are
+   exactly equal: both come from one draw;
 2. **memory** — peak RSS of the generation phase (measured via the
-   Linux ``/proc/self/clear_refs`` high-water-mark reset) drops by at
-   least 5×.
+   Linux ``/proc/self/clear_refs`` high-water-mark reset) is at least
+   5× lower for the columns than for the network.
 
-It also reports generation throughput (toots/sec) for both paths and,
-for the columnar path, the streamed scenario→corpus+graph write rate.
-Run standalone::
+It also reports generation throughput (toots/sec) for both and, for the
+columns, the streamed scenario→corpus+graph write rate.  Run
+standalone::
 
     PYTHONPATH=src python benchmarks/bench_scenario_scale.py [--preset large]
 
-The default preset is ``large`` (~1M unique toots; the object path
-needs ~5 GiB RAM).  Use ``--preset medium`` for a quicker,
-smaller-footprint run of the same gates.
+The default preset is ``large`` (~1M unique toots; the network needs
+GiBs of RAM).  Use ``--preset medium`` for a quicker, smaller-footprint
+run of the same gates.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from pathlib import Path
 PRESET = "large"
 SEED = 7
 MIN_MEMORY_RATIO = 5.0
-STAT_TOLERANCE = 0.05
-EXACT_STATS = ("instances", "users")
-CLOSE_STATS = ("toots", "public_toots", "follow_edges", "federation_edges")
+STATS = ("instances", "users", "toots", "public_toots", "follow_edges", "federation_edges")
 
 
 # -- phase-scoped peak RSS ---------------------------------------------------------
@@ -80,17 +78,14 @@ def run_phase(phase: str, preset: str) -> dict:
     baseline_kib = _vm_kib("VmRSS:") or 0
     measured: dict = {"phase": phase, "peak_is_phase_scoped": peak_scoped}
 
-    if phase == "legacy":
+    if phase == "network":
         from repro.fediverse import build_scenario
 
         start = time.perf_counter()
         network = build_scenario(preset, seed=SEED)
         measured["generate_seconds"] = time.perf_counter() - start
         stats = network.stats()
-        stats["public_toots"] = network.total_toots(public_only=True)
-        stats["follow_edges"] = len(network.follow_edges())
-        stats["federation_edges"] = len(network.subscription_edges())
-        measured["stats"] = {key: int(stats[key]) for key in EXACT_STATS + CLOSE_STATS}
+        measured["stats"] = {key: int(stats[key]) for key in STATS}
         peak_kib = _vm_kib("VmHWM:") or 0
         measured["phase_peak_bytes"] = max(0, peak_kib - baseline_kib) * 1024
     else:
@@ -101,7 +96,7 @@ def run_phase(phase: str, preset: str) -> dict:
         scenario = build_columnar_scenario(preset, seed=SEED)
         measured["generate_seconds"] = time.perf_counter() - start
         stats = scenario.stats()
-        measured["stats"] = {key: int(stats[key]) for key in EXACT_STATS + CLOSE_STATS}
+        measured["stats"] = {key: int(stats[key]) for key in STATS}
         # the gated phase is *generation*: snapshot its high-water mark
         # before the streaming write adds page-render buffers on top
         peak_kib = _vm_kib("VmHWM:") or 0
@@ -146,33 +141,26 @@ def _spawn(phase: str, preset: str) -> dict:
 
 
 def run_comparison(preset: str = PRESET) -> dict:
-    legacy = _spawn("legacy", preset)
+    network = _spawn("network", preset)
     columnar = _spawn("columnar", preset)
-    for key in EXACT_STATS:
-        assert legacy["stats"][key] == columnar["stats"][key], (
-            f"{key} diverged: {legacy['stats'][key]} vs {columnar['stats'][key]}"
+    for key in STATS:
+        assert network["stats"][key] == columnar["stats"][key], (
+            f"{key} diverged: {network['stats'][key]} vs {columnar['stats'][key]}"
         )
-    for key in CLOSE_STATS:
-        reference = legacy["stats"][key]
-        drift = abs(columnar["stats"][key] - reference) / max(1, reference)
-        assert drift <= STAT_TOLERANCE, (
-            f"{key} drifted {drift:.1%} (> {STAT_TOLERANCE:.0%}): "
-            f"{reference} vs {columnar['stats'][key]}"
-        )
-    ratio = legacy["phase_peak_bytes"] / max(1, columnar["phase_peak_bytes"])
+    ratio = network["phase_peak_bytes"] / max(1, columnar["phase_peak_bytes"])
     return {
         "preset": preset,
-        "n_toots": legacy["stats"]["toots"],
-        "legacy_peak_bytes": legacy["phase_peak_bytes"],
+        "n_toots": network["stats"]["toots"],
+        "network_peak_bytes": network["phase_peak_bytes"],
         "columnar_peak_bytes": columnar["phase_peak_bytes"],
         "memory_ratio": ratio,
         "peak_is_phase_scoped": bool(
-            legacy["peak_is_phase_scoped"] and columnar["peak_is_phase_scoped"]
+            network["peak_is_phase_scoped"] and columnar["peak_is_phase_scoped"]
         ),
-        "legacy_generate_seconds": legacy["generate_seconds"],
+        "network_generate_seconds": network["generate_seconds"],
         "columnar_generate_seconds": columnar["generate_seconds"],
-        "legacy_toots_per_second": legacy["stats"]["toots"]
-        / legacy["generate_seconds"],
+        "network_toots_per_second": network["stats"]["toots"]
+        / network["generate_seconds"],
         "columnar_toots_per_second": columnar["stats"]["toots"]
         / columnar["generate_seconds"],
         "stream_seconds": columnar["stream_seconds"],
@@ -200,7 +188,7 @@ def _assert_gates(measured: dict, min_ratio: float = MIN_MEMORY_RATIO) -> None:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default=PRESET)
-    parser.add_argument("--phase", choices=("legacy", "columnar"), default=None)
+    parser.add_argument("--phase", choices=("network", "columnar"), default=None)
     parser.add_argument(
         "--min-memory-ratio",
         type=float,
@@ -220,12 +208,11 @@ def main(argv: list[str] | None = None) -> None:
     measured = run_comparison(args.preset)
     print(f"columnar scenario vs object network — '{measured['preset']}' preset, "
           f"{measured['n_toots']:,} toots")
-    print("  population           : instances/users exact, "
-          f"toot/follow counts within {STAT_TOLERANCE:.0%}")
-    print(f"  object-path peak     : {measured['legacy_peak_bytes'] / 2**20:8.1f} MiB "
-          f"(generate {measured['legacy_generate_seconds']:.1f}s, "
-          f"{measured['legacy_toots_per_second']:,.0f} toots/s)")
-    print(f"  columnar-path peak   : {measured['columnar_peak_bytes'] / 2**20:8.1f} MiB "
+    print("  population           : all six stats exact")
+    print(f"  network peak         : {measured['network_peak_bytes'] / 2**20:8.1f} MiB "
+          f"(generate {measured['network_generate_seconds']:.1f}s, "
+          f"{measured['network_toots_per_second']:,.0f} toots/s)")
+    print(f"  columnar peak        : {measured['columnar_peak_bytes'] / 2**20:8.1f} MiB "
           f"(generate {measured['columnar_generate_seconds']:.1f}s, "
           f"{measured['columnar_toots_per_second']:,.0f} toots/s)")
     print(f"  memory reduction     : {measured['memory_ratio']:8.1f}x "

@@ -32,8 +32,8 @@ __getattr__, __dir__, __all__ = attach(
         ".instance": ("InstanceServer",),
         ".network": ("FediverseNetwork",),
         ".presets": ("ScenarioConfig", "preset_names", "scenario_config"),
-        ".workload": ("ScenarioGenerator", "build_scenario"),
-        ".columnar": ("ColumnarScenario", "ColumnarScenarioGenerator", "build_columnar_scenario"),
+        ".workload": ("ScenarioGenerator", "build_columnar_scenario", "build_scenario"),
+        ".columnar": ("ColumnarScenario",),
         ".timeline": ("ColumnarTimeline",),
     },
 )

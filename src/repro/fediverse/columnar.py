@@ -1,14 +1,12 @@
-"""Columnar scenario generation: whole-population numpy columns, no objects.
+"""The generated fediverse as whole-population numpy columns.
 
-The object generator (:class:`~repro.fediverse.workload.ScenarioGenerator`)
-builds every toot, follow and login as a Python object routed through
-:class:`~repro.fediverse.network.FediverseNetwork` — faithful, but ~2 GiB
-and minutes of wall clock at the ``large`` preset before a crawl even
-starts.  :class:`ColumnarScenarioGenerator` draws the same distributions
-as whole numpy columns instead: one array per attribute across the whole
-population, one :class:`ColumnarScenario` handle at the end.
+:class:`~repro.fediverse.workload.ScenarioGenerator` draws every user,
+follow, toot, boost and login as one array per attribute across the
+whole population and hands back a :class:`ColumnarScenario`.  It is the
+one source of truth for the population: every entry point reads the
+same columns.
 
-The handle preserves the crawler-facing surface without materialising
+The handle serves the crawler-facing surface without materialising
 anything: :meth:`ColumnarScenario.timeline_page` serves
 ``Timeline.page``-shaped payload pages straight from the columns,
 :meth:`ColumnarScenario.write_corpus` streams the federated-timeline
@@ -16,45 +14,28 @@ crawl of every online instance into a
 :class:`~repro.corpus.writer.CorpusWriter` (never holding more than one
 instance's render chunk), and :meth:`ColumnarScenario.write_graph`
 streams the follower crawl into a
-:class:`~repro.corpus.graph.GraphWriter`.  For differential testing,
-:meth:`ColumnarScenario.to_network` materialises the *same* columns into
-a real :class:`FediverseNetwork`, so the streamed corpus/graph can be
-proven identical to what the real crawlers collect.
-
-The columnar generator deliberately has its own RNG stream: the legacy
-per-event draw order cannot be reproduced by vectorised draws, so a
-given seed yields *statistically* matched but not bit-identical
-populations across the two generators (both are pinned by golden stats
-in the test-suite).  Within the columnar path everything is exactly
-reproducible.
+:class:`~repro.corpus.graph.GraphWriter`.
+:meth:`ColumnarScenario.to_network` replays the *same* columns into a
+real :class:`FediverseNetwork` for the crawlers and the monitor, so the
+streamed corpus/graph are identical to what the real crawlers collect
+from that view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.fediverse.certificates import CertificateRegistry
-from repro.fediverse.entities import (
-    InstanceDescriptor,
-    RegistrationPolicy,
-    UserRef,
-    Visibility,
-)
+from repro.fediverse.entities import InstanceDescriptor, UserRef, Visibility
 from repro.fediverse.network import FediverseNetwork
+from repro.fediverse.presets import ScenarioConfig
 from repro.fediverse.timeline import DEFAULT_PAGE_SIZE, ColumnarTimeline
 from repro.fediverse.uptime import AvailabilitySchedule
-from repro.fediverse.workload import (
-    ScenarioConfig,
-    ScenarioGenerator,
-    scenario_config,
-)
-from repro.simtime import MINUTES_PER_DAY, SimClock
-from repro.stats.distributions import sample_power_law
+from repro.simtime import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.corpus.graph import GraphWriter
@@ -63,328 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Rows rendered per ``write_corpus`` chunk: bounds the per-chunk string
 #: working set while amortising the numpy slicing.
 _RENDER_CHUNK_ROWS = 200_000
-
-
-def _weighted_pick(cumulative: np.ndarray, base: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling inside segments of a global cumulative-sum.
-
-    ``cumulative`` is the inclusive cumsum of the weights; a draw for a
-    segment ``[base, base + total)`` lands on the index whose weight mass
-    covers ``base + u * total``.
-    """
-    x = base + u * total
-    picks = np.searchsorted(cumulative, x, side="right")
-    return np.minimum(picks, cumulative.size - 1)
-
-
-class ColumnarScenarioGenerator(ScenarioGenerator):
-    """Generates a :class:`ColumnarScenario` instead of an object network.
-
-    Instance descriptors, availability and certificates reuse the parent
-    generator's code verbatim (they are small); users, follows, toots,
-    boosts and logins are drawn as whole columns.
-    """
-
-    def generate(self) -> "ColumnarScenario":  # type: ignore[override]
-        cfg = self.config
-        clock = SimClock(start_date=cfg.start_date, window_days=cfg.window_days)
-        descriptors = self._build_descriptors()
-
-        user_instance, user_created, attractiveness = self._users_columns(descriptors)
-        follow_src, follow_dst = self._follow_columns(
-            descriptors, user_instance, user_created, attractiveness
-        )
-        toots = self._toot_columns(descriptors, user_instance, user_created, attractiveness)
-        login_user, login_minute = self._login_columns(descriptors, user_instance, user_created)
-
-        # Availability and certificates reuse the object generator's code;
-        # it only touches ``network.availability`` / ``network.certificates``.
-        holder = SimpleNamespace(
-            availability=AvailabilitySchedule(cfg.window_minutes),
-            certificates=CertificateRegistry(),
-        )
-        self._generate_availability(holder, descriptors)
-        self._issue_certificates(holder, descriptors)
-
-        return ColumnarScenario(
-            config=cfg,
-            clock=clock,
-            descriptors=descriptors,
-            availability=holder.availability,
-            certificates=holder.certificates,
-            user_instance=user_instance,
-            user_created=user_created,
-            follow_src=follow_src,
-            follow_dst=follow_dst,
-            toot_author=toots["author"],
-            toot_created=toots["created"],
-            toot_private=toots["private"],
-            toot_tag=toots["tag"],
-            toot_cw=toots["cw"],
-            toot_media=toots["media"],
-            toot_boost_of=toots["boost_of"],
-            login_user=login_user,
-            login_minute=login_minute,
-        )
-
-    # -- users ----------------------------------------------------------------
-
-    def _users_columns(
-        self, descriptors: list[InstanceDescriptor]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cfg = self.config
-        weights = self._popularity_weights / self._popularity_weights.sum()
-        extra = cfg.total_users - cfg.n_instances
-        allocation = np.ones(cfg.n_instances, dtype=np.int64)
-        if extra > 0:
-            allocation += self.rng.multinomial(extra, weights)
-
-        attractiveness = sample_power_law(
-            self.rng,
-            cfg.total_users,
-            exponent=cfg.user_attractiveness_exponent,
-            minimum=1.0,
-            maximum=max(10.0, cfg.total_users / 2.0),
-        )
-        user_instance = np.repeat(
-            np.arange(cfg.n_instances, dtype=np.int32), allocation
-        )
-        instance_created = np.asarray([d.created_at for d in descriptors], dtype=np.int64)
-        base = instance_created[user_instance]
-        span = np.maximum(1, cfg.window_minutes - base)
-        user_created = (
-            base + self.rng.beta(1.3, 1.8, size=cfg.total_users) * span
-        ).astype(np.int64)
-        return user_instance, user_created, attractiveness
-
-    # -- follower graph --------------------------------------------------------
-
-    def _follow_columns(
-        self,
-        descriptors: list[InstanceDescriptor],
-        user_instance: np.ndarray,
-        user_created: np.ndarray,
-        attractiveness: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        n_users = user_instance.size
-        n_instances = len(descriptors)
-
-        raw_degrees = sample_power_law(
-            self.rng,
-            n_users,
-            exponent=cfg.follow_degree_exponent,
-            minimum=1.0,
-            maximum=float(cfg.max_follows_per_user),
-        )
-        scale = cfg.mean_follows_per_user / max(raw_degrees.mean(), 1e-9)
-        degrees = np.minimum(
-            np.maximum(1, np.round(raw_degrees * scale)).astype(np.int64),
-            min(cfg.max_follows_per_user, n_users - 1),
-        )
-
-        owner = np.repeat(np.arange(n_users, dtype=np.int64), degrees)
-        n_draws = owner.size
-
-        # Users are contiguous per instance, so the instance-local pools are
-        # segments of one global attractiveness cumsum.
-        cumulative = np.cumsum(attractiveness)
-        seg = np.zeros(n_instances + 1, dtype=np.int64)
-        np.cumsum(np.bincount(user_instance, minlength=n_instances), out=seg[1:])
-        seg_base = np.concatenate([[0.0], cumulative])[seg[:-1]]
-        seg_total = np.add.reduceat(attractiveness, seg[:-1])
-        instance_size = np.diff(seg)
-
-        # Country pools are scattered, so order users by country once and
-        # sample inside that ordering's segments.
-        country_names = sorted({d.country for d in descriptors})
-        country_index = {name: i for i, name in enumerate(country_names)}
-        instance_country = np.asarray(
-            [country_index[d.country] for d in descriptors], dtype=np.int64
-        )
-        user_country = instance_country[user_instance]
-        country_order = np.argsort(user_country, kind="stable")
-        country_cum = np.cumsum(attractiveness[country_order])
-        country_sizes = np.bincount(user_country, minlength=len(country_names))
-        cseg = np.zeros(len(country_names) + 1, dtype=np.int64)
-        np.cumsum(country_sizes, out=cseg[1:])
-        country_base = np.concatenate([[0.0], country_cum])[cseg[:-1]]
-        country_total = np.empty(len(country_names))
-        for c in range(len(country_names)):
-            country_total[c] = country_cum[cseg[c + 1] - 1] - country_base[c] if country_sizes[c] else 0.0
-
-        owner_instance = user_instance[owner].astype(np.int64)
-        owner_country = user_country[owner]
-        band = self.rng.random(n_draws)
-        p_local, p_country = cfg.same_instance_follow_prob, cfg.same_country_follow_prob
-        # Draws landing in a band whose pool is trivial (a single user)
-        # fall through to the global pool, like the object generator.
-        is_local = (band < p_local) & (instance_size[owner_instance] > 1)
-        is_country = (
-            ~is_local
-            & (band >= p_local)
-            & (band < p_local + p_country)
-            & (country_sizes[owner_country] > 1)
-        )
-        is_global = ~is_local & ~is_country
-
-        target = np.empty(n_draws, dtype=np.int64)
-        if is_local.any():
-            inst = owner_instance[is_local]
-            target[is_local] = _weighted_pick(
-                cumulative, seg_base[inst], seg_total[inst], self.rng.random(int(is_local.sum()))
-            )
-        if is_country.any():
-            ctry = owner_country[is_country]
-            picks = _weighted_pick(
-                country_cum,
-                country_base[ctry],
-                country_total[ctry],
-                self.rng.random(int(is_country.sum())),
-            )
-            target[is_country] = country_order[picks]
-        if is_global.any():
-            total = cumulative[-1]
-            target[is_global] = _weighted_pick(
-                cumulative,
-                np.zeros(int(is_global.sum())),
-                np.full(int(is_global.sum()), total),
-                self.rng.random(int(is_global.sum())),
-            )
-
-        # Dedup per owner and drop self-follows; np.unique's owner-major,
-        # target-ascending order matches the object generator's per-user
-        # ``sorted(chosen)`` emission order.
-        keep = owner != target
-        keys = np.unique(owner[keep] * np.int64(n_users) + target[keep])
-        follow_src = (keys // n_users).astype(np.int32)
-        follow_dst = (keys % n_users).astype(np.int32)
-        return follow_src, follow_dst
-
-    # -- toots and boosts -------------------------------------------------------
-
-    def _toot_columns(
-        self,
-        descriptors: list[InstanceDescriptor],
-        user_instance: np.ndarray,
-        user_created: np.ndarray,
-        attractiveness: np.ndarray,
-    ) -> dict[str, np.ndarray]:
-        cfg = self.config
-        n_users = user_instance.size
-        closed = np.asarray(
-            [d.registration is RegistrationPolicy.CLOSED for d in descriptors],
-            dtype=bool,
-        )
-        raw = self.rng.lognormal(mean=0.0, sigma=cfg.toots_per_user_sigma, size=n_users)
-        multipliers = np.where(closed[user_instance], cfg.closed_toot_multiplier, 1.0)
-        raw = raw * multipliers * (attractiveness ** cfg.toot_attractiveness_coupling)
-        scale = cfg.total_toots_target / max(raw.sum(), 1e-9)
-        budgets = np.maximum(0, np.round(raw * scale)).astype(np.int64)
-
-        window = cfg.window_minutes
-        author0 = np.repeat(np.arange(n_users, dtype=np.int32), budgets)
-        n_base = author0.size
-        base = user_created[author0.astype(np.int64)]
-        times = (
-            base + self.rng.beta(1.6, 1.0, size=n_base) * np.maximum(1, window - base)
-        ).astype(np.int64)
-        order = np.lexsort((author0, times))  # (time, author) like postings.sort()
-        author = author0[order]
-        created = times[order]
-
-        private = self.rng.random(n_base) < cfg.private_toot_fraction
-        has_tag = self.rng.random(n_base) < 0.3
-        tag = np.where(
-            has_tag,
-            self.rng.integers(0, cfg.hashtag_vocabulary, size=n_base),
-            -1,
-        ).astype(np.int32)
-        cw = self.rng.random(n_base) < cfg.content_warning_fraction
-        media = (self.rng.random(n_base) < cfg.media_fraction).astype(np.int8)
-
-        # Boosts: public base toots weighted by media + hashtags, boosted by
-        # uniformly random users shortly after the original (or the booster's
-        # own sign-up, whichever is later).
-        public_rows = np.flatnonzero(~private)
-        n_boosts = int(cfg.boost_fraction * public_rows.size)
-        if n_boosts:
-            boost_weights = (
-                1.0 + media[public_rows].astype(np.float64) + (tag[public_rows] >= 0)
-            )
-            probs = boost_weights / boost_weights.sum()
-            boosters = self.rng.integers(0, n_users, size=n_boosts)
-            originals = public_rows[
-                self.rng.choice(public_rows.size, size=n_boosts, p=probs)
-            ]
-            delay = self.rng.integers(1, MINUTES_PER_DAY * 3, size=n_boosts)
-            boost_created = np.minimum(
-                window - 1,
-                np.maximum(created[originals] + 1, user_created[boosters]) + delay,
-            ).astype(np.int64)
-            author = np.concatenate([author, boosters.astype(np.int32)])
-            created = np.concatenate([created, boost_created])
-            private = np.concatenate([private, np.zeros(n_boosts, dtype=bool)])
-            tag = np.concatenate([tag, np.full(n_boosts, -1, dtype=np.int32)])
-            cw = np.concatenate([cw, np.zeros(n_boosts, dtype=bool)])
-            media = np.concatenate([media, np.zeros(n_boosts, dtype=np.int8)])
-            boost_of = np.concatenate(
-                [np.zeros(n_base, dtype=np.int64), originals + 1]
-            )
-        else:
-            boost_of = np.zeros(n_base, dtype=np.int64)
-
-        return {
-            "author": author,
-            "created": created,
-            "private": private,
-            "tag": tag,
-            "cw": cw,
-            "media": media,
-            "boost_of": boost_of,
-        }
-
-    # -- engagement -------------------------------------------------------------
-
-    def _login_columns(
-        self,
-        descriptors: list[InstanceDescriptor],
-        user_instance: np.ndarray,
-        user_created: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        weeks = max(1, cfg.window_days // 7)
-        seg = np.zeros(len(descriptors) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(user_instance, minlength=len(descriptors)), out=seg[1:])
-        users_chunks: list[np.ndarray] = []
-        minutes_chunks: list[np.ndarray] = []
-        for index, descriptor in enumerate(descriptors):
-            lo, hi = int(seg[index]), int(seg[index + 1])
-            if hi <= lo:
-                continue
-            if descriptor.registration is RegistrationPolicy.CLOSED:
-                a, b = cfg.closed_activity_beta
-            else:
-                a, b = cfg.open_activity_beta
-            activity_level = float(self.rng.beta(a, b))
-            local_created = user_created[lo:hi]
-            for week in range(weeks):
-                week_start = week * 7 * MINUTES_PER_DAY
-                engaged = self.rng.random(hi - lo) < activity_level * self.rng.uniform(0.6, 0.9)
-                chosen = engaged & (local_created <= week_start + 7 * MINUTES_PER_DAY)
-                count = int(chosen.sum())
-                if not count:
-                    continue
-                users_chunks.append((np.flatnonzero(chosen) + lo).astype(np.int32))
-                minutes_chunks.append(
-                    week_start + self.rng.integers(0, 7 * MINUTES_PER_DAY, size=count)
-                )
-        if not users_chunks:
-            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
-        return (
-            np.concatenate(users_chunks),
-            np.concatenate(minutes_chunks).astype(np.int64),
-        )
 
 
 @dataclass
@@ -774,12 +433,14 @@ class ColumnarScenario:
     def to_network(self) -> FediverseNetwork:
         """Materialise the columns into a real :class:`FediverseNetwork`.
 
-        The differential bridge: every user, follow, toot, boost and
-        login replays through the network in column order, with the
-        scenario's availability schedule and certificate registry shared,
-        so real crawlers over the result must observe exactly what
-        :meth:`write_corpus` / :meth:`write_graph` streamed.  Only use at
-        test scale — this is the object path the columns exist to avoid.
+        Every user, follow, toot, boost and login replays through the
+        network in column order, with the scenario's availability
+        schedule and certificate registry shared, so real crawlers over
+        the result observe exactly what :meth:`write_corpus` /
+        :meth:`write_graph` stream.  This is the object view that
+        :func:`~repro.fediverse.workload.build_scenario` returns for the
+        in-memory crawl and the monitor.  It holds every toot as an
+        object, so store pipelines stream from the columns instead.
         """
         network = FediverseNetwork(
             clock=self.clock,
@@ -830,14 +491,3 @@ class ColumnarScenario:
         for user, minute in zip(self.login_user.tolist(), self.login_minute.tolist()):
             network.record_login(refs[user], minute=int(minute))
         return network
-
-
-def build_columnar_scenario(preset: str = "small", seed: int = 7) -> ColumnarScenario:
-    """Generate a :class:`ColumnarScenario` from a named preset.
-
-    The columnar counterpart of
-    :func:`~repro.fediverse.workload.build_scenario`; valid presets are
-    the same, including ``xlarge`` (10M toots), which only this path can
-    realistically generate.
-    """
-    return ColumnarScenarioGenerator(scenario_config(preset, seed=seed)).generate()

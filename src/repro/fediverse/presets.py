@@ -157,11 +157,10 @@ class ScenarioConfig:
         """A 10M-toot scenario for the columnar streaming pipeline.
 
         Ten times medium's population at 50 toots/user: 200K users and a
-        ~10M-toot corpus over 240 days.  This preset is only realistic
-        through the columnar path (:func:`build_columnar_scenario` /
-        ``collect --columnar``) — the object generator would need tens
-        of GiB; the columnar generator streams it to corpus and graph
-        shards in a few GiB of RSS.
+        ~10M-toot corpus over 240 days.  Stream it to stores
+        (:func:`build_columnar_scenario` / ``collect --columnar``): the
+        columns fit in a few GiB of RSS, while materialising them as a
+        :class:`FediverseNetwork` would need tens of GiB.
         """
         return replace(
             cls.medium(seed=seed).scaled(10.0),

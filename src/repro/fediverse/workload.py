@@ -23,11 +23,10 @@ so scenarios are fully reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.fediverse.certificates import CERTIFICATE_AUTHORITIES
+from repro.fediverse.certificates import CERTIFICATE_AUTHORITIES, CertificateRegistry
+from repro.fediverse.columnar import ColumnarScenario
 from repro.fediverse.entities import (
     ActivityPolicy,
     ActivityType,
@@ -36,13 +35,11 @@ from repro.fediverse.entities import (
     OperatorType,
     RegistrationPolicy,
     Software,
-    UserRef,
-    Visibility,
 )
-from repro.fediverse.geo import DEFAULT_COUNTRIES, IPAllocator, WELL_KNOWN_ASES
+from repro.fediverse.geo import IPAllocator
 from repro.fediverse.network import FediverseNetwork
 from repro.fediverse.presets import ScenarioConfig, scenario_config
-from repro.fediverse.uptime import ASOutageEvent, Outage, OutageCause
+from repro.fediverse.uptime import ASOutageEvent, AvailabilitySchedule, Outage, OutageCause
 from repro.simtime import MINUTES_PER_DAY, SimClock, TimeWindow
 from repro.stats.distributions import sample_power_law
 
@@ -233,46 +230,70 @@ DOMAIN_PREFIXES: tuple[str, ...] = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _UserRecord:
-    """Internal bookkeeping for a generated account."""
+def _weighted_pick(cumulative: np.ndarray, base: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling inside segments of a global cumulative-sum.
 
-    index: int
-    ref: UserRef
-    instance_index: int
-    created_at: int
-    attractiveness: float
-    toot_budget: int = 0
+    ``cumulative`` is the inclusive cumsum of the weights; a draw for a
+    segment ``[base, base + total)`` lands on the index whose weight mass
+    covers ``base + u * total``.
+    """
+    x = base + u * total
+    picks = np.searchsorted(cumulative, x, side="right")
+    return np.minimum(picks, cumulative.size - 1)
 
 
 class ScenarioGenerator:
-    """Builds a :class:`FediverseNetwork` from a :class:`ScenarioConfig`."""
+    """Draws a :class:`ColumnarScenario` from a :class:`ScenarioConfig`.
+
+    Instance descriptors, hosting, availability and certificates are
+    drawn per instance (they are small); users, follows, toots, boosts
+    and logins are drawn as whole numpy columns.  One seeded RNG stream
+    drives every draw, in that order.
+    """
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self._ip_allocator = IPAllocator()
-        self._as_by_asn = {asys.asn: asys for asys in WELL_KNOWN_ASES}
 
     # -- public entry point ---------------------------------------------------
 
-    def generate(self) -> FediverseNetwork:
-        """Generate the full scenario and return the populated network."""
-        clock = SimClock(start_date=self.config.start_date, window_days=self.config.window_days)
-        network = FediverseNetwork(clock=clock)
-
+    def generate(self) -> ColumnarScenario:
+        """Generate the full scenario as columns."""
+        cfg = self.config
+        clock = SimClock(start_date=cfg.start_date, window_days=cfg.window_days)
         descriptors = self._build_descriptors()
-        for descriptor in descriptors:
-            network.add_instance(descriptor)
 
-        users = self._create_users(network, descriptors)
-        self._create_follows(network, users, descriptors)
-        self._create_toots(network, users, descriptors)
-        self._create_boosts(network, users)
-        self._generate_logins(network, users, descriptors)
-        self._generate_availability(network, descriptors)
-        self._issue_certificates(network, descriptors)
-        return network
+        user_instance, user_created, attractiveness = self._users_columns(descriptors)
+        follow_src, follow_dst = self._follow_columns(descriptors, user_instance, attractiveness)
+        toots = self._toot_columns(descriptors, user_instance, user_created, attractiveness)
+        login_user, login_minute = self._login_columns(descriptors, user_instance, user_created)
+
+        availability = AvailabilitySchedule(cfg.window_minutes)
+        self._generate_availability(availability, descriptors)
+        certificates = CertificateRegistry()
+        self._issue_certificates(certificates, descriptors)
+
+        return ColumnarScenario(
+            config=cfg,
+            clock=clock,
+            descriptors=descriptors,
+            availability=availability,
+            certificates=certificates,
+            user_instance=user_instance,
+            user_created=user_created,
+            follow_src=follow_src,
+            follow_dst=follow_dst,
+            toot_author=toots["author"],
+            toot_created=toots["created"],
+            toot_private=toots["private"],
+            toot_tag=toots["tag"],
+            toot_cw=toots["cw"],
+            toot_media=toots["media"],
+            toot_boost_of=toots["boost_of"],
+            login_user=login_user,
+            login_minute=login_minute,
+        )
 
     # -- instances ------------------------------------------------------------
 
@@ -429,13 +450,13 @@ class ScenarioGenerator:
 
     # -- users ----------------------------------------------------------------
 
-    def _create_users(
-        self, network: FediverseNetwork, descriptors: list[InstanceDescriptor]
-    ) -> list[_UserRecord]:
+    def _users_columns(
+        self, descriptors: list[InstanceDescriptor]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cfg = self.config
         weights = self._popularity_weights / self._popularity_weights.sum()
         extra = cfg.total_users - cfg.n_instances
-        allocation = np.ones(cfg.n_instances, dtype=int)
+        allocation = np.ones(cfg.n_instances, dtype=np.int64)
         if extra > 0:
             allocation += self.rng.multinomial(extra, weights)
 
@@ -446,59 +467,28 @@ class ScenarioGenerator:
             minimum=1.0,
             maximum=max(10.0, cfg.total_users / 2.0),
         )
-        users: list[_UserRecord] = []
-        user_index = 0
-        window = cfg.window_minutes
-        for instance_index, descriptor in enumerate(descriptors):
-            instance_count = int(allocation[instance_index])
-            for _ in range(instance_count):
-                created_at = int(
-                    descriptor.created_at
-                    + self.rng.beta(1.3, 1.8) * max(1, window - descriptor.created_at)
-                )
-                username = f"user{user_index}"
-                network.register_user(descriptor.domain, username, created_at, invited=True)
-                users.append(
-                    _UserRecord(
-                        index=user_index,
-                        ref=UserRef(username=username, domain=descriptor.domain),
-                        instance_index=instance_index,
-                        created_at=created_at,
-                        attractiveness=float(attractiveness[user_index]),
-                    )
-                )
-                user_index += 1
-        return users
+        user_instance = np.repeat(
+            np.arange(cfg.n_instances, dtype=np.int32), allocation
+        )
+        instance_created = np.asarray([d.created_at for d in descriptors], dtype=np.int64)
+        base = instance_created[user_instance]
+        span = np.maximum(1, cfg.window_minutes - base)
+        user_created = (
+            base + self.rng.beta(1.3, 1.8, size=cfg.total_users) * span
+        ).astype(np.int64)
+        return user_instance, user_created, attractiveness
 
     # -- follower graph --------------------------------------------------------
 
-    def _create_follows(
+    def _follow_columns(
         self,
-        network: FediverseNetwork,
-        users: list[_UserRecord],
         descriptors: list[InstanceDescriptor],
-    ) -> None:
+        user_instance: np.ndarray,
+        attractiveness: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
-        n_users = len(users)
-        attractiveness = np.asarray([u.attractiveness for u in users], dtype=float)
-        global_probs = attractiveness / attractiveness.sum()
-        all_indices = np.arange(n_users)
-
-        by_instance: dict[int, np.ndarray] = {}
-        by_country: dict[str, np.ndarray] = {}
-        for user in users:
-            by_instance.setdefault(user.instance_index, []).append(user.index)  # type: ignore[arg-type]
-            country = descriptors[user.instance_index].country
-            by_country.setdefault(country, []).append(user.index)  # type: ignore[arg-type]
-        by_instance = {k: np.asarray(v, dtype=int) for k, v in by_instance.items()}
-        by_country = {k: np.asarray(v, dtype=int) for k, v in by_country.items()}
-
-        instance_probs = {
-            key: attractiveness[idx] / attractiveness[idx].sum() for key, idx in by_instance.items()
-        }
-        country_probs = {
-            key: attractiveness[idx] / attractiveness[idx].sum() for key, idx in by_country.items()
-        }
+        n_users = user_instance.size
+        n_instances = len(descriptors)
 
         # Per-user out-degrees drawn from a bounded power law, scaled to the
         # target mean (the bound keeps the sample mean stable at small scales).
@@ -511,164 +501,215 @@ class ScenarioGenerator:
         )
         scale = cfg.mean_follows_per_user / max(raw_degrees.mean(), 1e-9)
         degrees = np.minimum(
-            np.maximum(1, np.round(raw_degrees * scale)).astype(int),
+            np.maximum(1, np.round(raw_degrees * scale)).astype(np.int64),
             min(cfg.max_follows_per_user, n_users - 1),
         )
 
-        for user in users:
-            out_degree = int(degrees[user.index])
-            country = descriptors[user.instance_index].country
-            local_pool = by_instance[user.instance_index]
-            country_pool = by_country[country]
+        owner = np.repeat(np.arange(n_users, dtype=np.int64), degrees)
+        n_draws = owner.size
 
-            draws = self.rng.random(out_degree)
-            n_local = int(np.sum(draws < cfg.same_instance_follow_prob)) if local_pool.size > 1 else 0
-            n_country = (
-                int(
-                    np.sum(
-                        (draws >= cfg.same_instance_follow_prob)
-                        & (draws < cfg.same_instance_follow_prob + cfg.same_country_follow_prob)
-                    )
-                )
-                if country_pool.size > 1
-                else 0
-            )
-            n_global = out_degree - n_local - n_country
+        # Users are contiguous per instance, so the instance-local pools are
+        # segments of one global attractiveness cumsum.
+        cumulative = np.cumsum(attractiveness)
+        seg = np.zeros(n_instances + 1, dtype=np.int64)
+        np.cumsum(np.bincount(user_instance, minlength=n_instances), out=seg[1:])
+        seg_base = np.concatenate([[0.0], cumulative])[seg[:-1]]
+        seg_total = np.add.reduceat(attractiveness, seg[:-1])
+        instance_size = np.diff(seg)
 
-            picks: list[np.ndarray] = []
-            if n_local:
-                picks.append(
-                    self.rng.choice(local_pool, size=n_local, p=instance_probs[user.instance_index])
-                )
-            if n_country:
-                picks.append(
-                    self.rng.choice(country_pool, size=n_country, p=country_probs[country])
-                )
-            if n_global:
-                picks.append(self.rng.choice(all_indices, size=n_global, p=global_probs))
-            if not picks:
-                continue
-            chosen = set(int(t) for t in np.concatenate(picks))
-            chosen.discard(user.index)
-            for target in sorted(chosen):
-                network.follow(user.ref, users[target].ref, created_at=user.created_at)
-
-    # -- toots ------------------------------------------------------------------
-
-    def _create_toots(
-        self,
-        network: FediverseNetwork,
-        users: list[_UserRecord],
-        descriptors: list[InstanceDescriptor],
-    ) -> None:
-        cfg = self.config
-        n_users = len(users)
-        raw = self.rng.lognormal(mean=0.0, sigma=cfg.toots_per_user_sigma, size=n_users)
-        multipliers = np.asarray(
-            [
-                cfg.closed_toot_multiplier
-                if descriptors[u.instance_index].registration is RegistrationPolicy.CLOSED
-                else 1.0
-                for u in users
-            ],
-            dtype=float,
+        # Country pools are scattered, so order users by country once and
+        # sample inside that ordering's segments.
+        country_names = sorted({d.country for d in descriptors})
+        country_index = {name: i for i, name in enumerate(country_names)}
+        instance_country = np.asarray(
+            [country_index[d.country] for d in descriptors], dtype=np.int64
         )
+        user_country = instance_country[user_instance]
+        country_order = np.argsort(user_country, kind="stable")
+        country_cum = np.cumsum(attractiveness[country_order])
+        country_sizes = np.bincount(user_country, minlength=len(country_names))
+        cseg = np.zeros(len(country_names) + 1, dtype=np.int64)
+        np.cumsum(country_sizes, out=cseg[1:])
+        country_base = np.concatenate([[0.0], country_cum])[cseg[:-1]]
+        country_total = np.empty(len(country_names))
+        for c in range(len(country_names)):
+            country_total[c] = country_cum[cseg[c + 1] - 1] - country_base[c] if country_sizes[c] else 0.0
+
+        owner_instance = user_instance[owner].astype(np.int64)
+        owner_country = user_country[owner]
+        band = self.rng.random(n_draws)
+        p_local, p_country = cfg.same_instance_follow_prob, cfg.same_country_follow_prob
+        # Draws landing in a band whose pool is trivial (a single user)
+        # fall through to the global pool.
+        is_local = (band < p_local) & (instance_size[owner_instance] > 1)
+        is_country = (
+            ~is_local
+            & (band >= p_local)
+            & (band < p_local + p_country)
+            & (country_sizes[owner_country] > 1)
+        )
+        is_global = ~is_local & ~is_country
+
+        target = np.empty(n_draws, dtype=np.int64)
+        if is_local.any():
+            inst = owner_instance[is_local]
+            target[is_local] = _weighted_pick(
+                cumulative, seg_base[inst], seg_total[inst], self.rng.random(int(is_local.sum()))
+            )
+        if is_country.any():
+            ctry = owner_country[is_country]
+            picks = _weighted_pick(
+                country_cum,
+                country_base[ctry],
+                country_total[ctry],
+                self.rng.random(int(is_country.sum())),
+            )
+            target[is_country] = country_order[picks]
+        if is_global.any():
+            total = cumulative[-1]
+            target[is_global] = _weighted_pick(
+                cumulative,
+                np.zeros(int(is_global.sum())),
+                np.full(int(is_global.sum()), total),
+                self.rng.random(int(is_global.sum())),
+            )
+
+        # Dedup per owner and drop self-follows; np.unique leaves the
+        # edges owner-major, target-ascending.
+        keep = owner != target
+        keys = np.unique(owner[keep] * np.int64(n_users) + target[keep])
+        follow_src = (keys // n_users).astype(np.int32)
+        follow_dst = (keys % n_users).astype(np.int32)
+        return follow_src, follow_dst
+
+    # -- toots and boosts -------------------------------------------------------
+
+    def _toot_columns(
+        self,
+        descriptors: list[InstanceDescriptor],
+        user_instance: np.ndarray,
+        user_created: np.ndarray,
+        attractiveness: np.ndarray,
+    ) -> dict[str, np.ndarray]:
+        cfg = self.config
+        n_users = user_instance.size
+        closed = np.asarray(
+            [d.registration is RegistrationPolicy.CLOSED for d in descriptors],
+            dtype=bool,
+        )
+        raw = self.rng.lognormal(mean=0.0, sigma=cfg.toots_per_user_sigma, size=n_users)
+        multipliers = np.where(closed[user_instance], cfg.closed_toot_multiplier, 1.0)
         # Couple volume to attractiveness: widely-followed accounts toot far
         # more, which is what makes small instances' federated timelines
         # dominated by remote content (Fig. 14) and concentrates toots on
         # the flagship instances (Section 4.1).
-        attractiveness = np.asarray([u.attractiveness for u in users], dtype=float)
         raw = raw * multipliers * (attractiveness ** cfg.toot_attractiveness_coupling)
         scale = cfg.total_toots_target / max(raw.sum(), 1e-9)
-        budgets = np.maximum(0, np.round(raw * scale)).astype(int)
+        budgets = np.maximum(0, np.round(raw * scale)).astype(np.int64)
 
         window = cfg.window_minutes
-        postings: list[tuple[int, int]] = []
-        for user, budget in zip(users, budgets):
-            user.toot_budget = int(budget)
-            if budget == 0:
-                continue
-            times = user.created_at + self.rng.beta(1.6, 1.0, size=int(budget)) * max(
-                1, window - user.created_at
-            )
-            postings.extend((int(t), user.index) for t in times)
-        postings.sort()
+        author0 = np.repeat(np.arange(n_users, dtype=np.int32), budgets)
+        n_base = author0.size
+        base = user_created[author0.astype(np.int64)]
+        times = (
+            base + self.rng.beta(1.6, 1.0, size=n_base) * np.maximum(1, window - base)
+        ).astype(np.int64)
+        order = np.lexsort((author0, times))  # posting order: (time, author)
+        author = author0[order]
+        created = times[order]
 
-        hashtags = [f"tag{i}" for i in range(cfg.hashtag_vocabulary)]
-        for created_at, user_index in postings:
-            user = users[user_index]
-            visibility = (
-                Visibility.PRIVATE
-                if self.rng.random() < cfg.private_toot_fraction
-                else Visibility.PUBLIC
-            )
-            toot_hashtags: tuple[str, ...] = ()
-            if self.rng.random() < 0.3:
-                toot_hashtags = (hashtags[int(self.rng.integers(0, cfg.hashtag_vocabulary))],)
-            network.post_toot(
-                author=user.ref,
-                created_at=created_at,
-                visibility=visibility,
-                hashtags=toot_hashtags,
-                content_warning=self.rng.random() < cfg.content_warning_fraction,
-                media_count=1 if self.rng.random() < cfg.media_fraction else 0,
-            )
+        private = self.rng.random(n_base) < cfg.private_toot_fraction
+        has_tag = self.rng.random(n_base) < 0.3
+        tag = np.where(
+            has_tag,
+            self.rng.integers(0, cfg.hashtag_vocabulary, size=n_base),
+            -1,
+        ).astype(np.int32)
+        cw = self.rng.random(n_base) < cfg.content_warning_fraction
+        media = (self.rng.random(n_base) < cfg.media_fraction).astype(np.int8)
 
-    def _create_boosts(self, network: FediverseNetwork, users: list[_UserRecord]) -> None:
-        cfg = self.config
-        public_toots = []
-        for instance in network.instances():
-            public_toots.extend(t for t in instance.local_toots(public_only=True) if not t.is_boost)
-        if not public_toots:
-            return
-        n_boosts = int(cfg.boost_fraction * len(public_toots))
-        if n_boosts == 0:
-            return
-        toot_weights = np.asarray(
-            [1.0 + t.media_count + len(t.hashtags) for t in public_toots], dtype=float
-        )
-        toot_probs = toot_weights / toot_weights.sum()
-        booster_indices = self.rng.integers(0, len(users), size=n_boosts)
-        original_indices = self.rng.choice(len(public_toots), size=n_boosts, p=toot_probs)
-        window = cfg.window_minutes
-        for booster_index, original_index in zip(booster_indices, original_indices):
-            booster = users[int(booster_index)]
-            original = public_toots[int(original_index)]
-            created_at = int(
-                min(window - 1, max(original.created_at + 1, booster.created_at) + self.rng.integers(1, MINUTES_PER_DAY * 3))
+        # Boosts: public base toots weighted by media + hashtags, boosted by
+        # uniformly random users shortly after the original (or the booster's
+        # own sign-up, whichever is later).
+        public_rows = np.flatnonzero(~private)
+        n_boosts = int(cfg.boost_fraction * public_rows.size)
+        if n_boosts:
+            boost_weights = (
+                1.0 + media[public_rows].astype(np.float64) + (tag[public_rows] >= 0)
             )
-            network.boost(booster.ref, original, created_at=created_at)
+            probs = boost_weights / boost_weights.sum()
+            boosters = self.rng.integers(0, n_users, size=n_boosts)
+            originals = public_rows[
+                self.rng.choice(public_rows.size, size=n_boosts, p=probs)
+            ]
+            delay = self.rng.integers(1, MINUTES_PER_DAY * 3, size=n_boosts)
+            boost_created = np.minimum(
+                window - 1,
+                np.maximum(created[originals] + 1, user_created[boosters]) + delay,
+            ).astype(np.int64)
+            author = np.concatenate([author, boosters.astype(np.int32)])
+            created = np.concatenate([created, boost_created])
+            private = np.concatenate([private, np.zeros(n_boosts, dtype=bool)])
+            tag = np.concatenate([tag, np.full(n_boosts, -1, dtype=np.int32)])
+            cw = np.concatenate([cw, np.zeros(n_boosts, dtype=bool)])
+            media = np.concatenate([media, np.zeros(n_boosts, dtype=np.int8)])
+            boost_of = np.concatenate(
+                [np.zeros(n_base, dtype=np.int64), originals + 1]
+            )
+        else:
+            boost_of = np.zeros(n_base, dtype=np.int64)
 
-    # -- engagement ---------------------------------------------------------------
+        return {
+            "author": author,
+            "created": created,
+            "private": private,
+            "tag": tag,
+            "cw": cw,
+            "media": media,
+            "boost_of": boost_of,
+        }
 
-    def _generate_logins(
+    # -- engagement -------------------------------------------------------------
+
+    def _login_columns(
         self,
-        network: FediverseNetwork,
-        users: list[_UserRecord],
         descriptors: list[InstanceDescriptor],
-    ) -> None:
+        user_instance: np.ndarray,
+        user_created: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
-        users_by_instance: dict[int, list[_UserRecord]] = {}
-        for user in users:
-            users_by_instance.setdefault(user.instance_index, []).append(user)
         weeks = max(1, cfg.window_days // 7)
-        for instance_index, descriptor in enumerate(descriptors):
-            local_users = users_by_instance.get(instance_index, [])
-            if not local_users:
+        seg = np.zeros(len(descriptors) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(user_instance, minlength=len(descriptors)), out=seg[1:])
+        users_chunks: list[np.ndarray] = []
+        minutes_chunks: list[np.ndarray] = []
+        for index, descriptor in enumerate(descriptors):
+            lo, hi = int(seg[index]), int(seg[index + 1])
+            if hi <= lo:
                 continue
             if descriptor.registration is RegistrationPolicy.CLOSED:
                 a, b = cfg.closed_activity_beta
             else:
                 a, b = cfg.open_activity_beta
             activity_level = float(self.rng.beta(a, b))
-            instance = network.get_instance(descriptor.domain)
+            local_created = user_created[lo:hi]
             for week in range(weeks):
                 week_start = week * 7 * MINUTES_PER_DAY
-                engaged = self.rng.random(len(local_users)) < activity_level * self.rng.uniform(0.6, 0.9)
-                for user, active in zip(local_users, engaged):
-                    if active and user.created_at <= week_start + 7 * MINUTES_PER_DAY:
-                        minute = week_start + int(self.rng.integers(0, 7 * MINUTES_PER_DAY))
-                        instance.record_login(user.ref.username, minute)
+                engaged = self.rng.random(hi - lo) < activity_level * self.rng.uniform(0.6, 0.9)
+                chosen = engaged & (local_created <= week_start + 7 * MINUTES_PER_DAY)
+                count = int(chosen.sum())
+                if not count:
+                    continue
+                users_chunks.append((np.flatnonzero(chosen) + lo).astype(np.int32))
+                minutes_chunks.append(
+                    week_start + self.rng.integers(0, 7 * MINUTES_PER_DAY, size=count)
+                )
+        if not users_chunks:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
+        return (
+            np.concatenate(users_chunks),
+            np.concatenate(minutes_chunks).astype(np.int64),
+        )
 
     # -- availability ---------------------------------------------------------------
 
@@ -700,10 +741,9 @@ class ScenarioGenerator:
         return min(target, 0.95)
 
     def _generate_availability(
-        self, network: FediverseNetwork, descriptors: list[InstanceDescriptor]
+        self, schedule: AvailabilitySchedule, descriptors: list[InstanceDescriptor]
     ) -> None:
         cfg = self.config
-        schedule = network.availability
         window = cfg.window_minutes
 
         permanently_down = set(
@@ -759,7 +799,9 @@ class ScenarioGenerator:
 
         self._generate_as_outages(schedule, descriptors)
 
-    def _generate_as_outages(self, schedule, descriptors: list[InstanceDescriptor]) -> None:
+    def _generate_as_outages(
+        self, schedule: AvailabilitySchedule, descriptors: list[InstanceDescriptor]
+    ) -> None:
         cfg = self.config
         window = cfg.window_minutes
         domains_by_asn: dict[int, list[str]] = {}
@@ -788,10 +830,9 @@ class ScenarioGenerator:
     # -- certificates -----------------------------------------------------------------
 
     def _issue_certificates(
-        self, network: FediverseNetwork, descriptors: list[InstanceDescriptor]
+        self, registry: CertificateRegistry, descriptors: list[InstanceDescriptor]
     ) -> None:
         cfg = self.config
-        registry = network.certificates
         window = cfg.window_minutes
         mass_expiry_day = int(self.rng.uniform(0.5, 0.9) * cfg.window_days)
         n_mass = max(1, int(cfg.mass_cert_expiry_fraction * len(descriptors)))
@@ -826,11 +867,22 @@ class ScenarioGenerator:
                 renew_at += validity_minutes
 
 
-def build_scenario(preset: str = "small", seed: int = 7) -> FediverseNetwork:
-    """Build a ready-to-analyse fediverse using a named preset.
+
+def build_columnar_scenario(preset: str = "small", seed: int = 7) -> ColumnarScenario:
+    """Generate the named preset's scenario as a :class:`ColumnarScenario`.
 
     ``preset`` is one of ``"tiny"``, ``"small"``, ``"medium"``,
     ``"large"`` (the 1M+-toot corpus for sharded evaluation) or
-    ``"xlarge"`` (10M toots; use the columnar path).
+    ``"xlarge"`` (10M toots; stream it to stores rather than
+    materialising the network).
     """
     return ScenarioGenerator(scenario_config(preset, seed=seed)).generate()
+
+
+def build_scenario(preset: str = "small", seed: int = 7) -> FediverseNetwork:
+    """Build a ready-to-analyse fediverse using a named preset.
+
+    The same population as :func:`build_columnar_scenario`, materialised
+    as a :class:`FediverseNetwork` for the crawlers and the monitor.
+    """
+    return ScenarioGenerator(scenario_config(preset, seed=seed)).generate().to_network()

@@ -22,23 +22,23 @@ EXACT = dict(rel=1e-12, abs=0.0)
 
 # Measured on the seeded tiny scenario; update only on deliberate changes.
 GOLDEN_CORRELATED = {
-    "top1_hosters/by_users[no-rep]": 0.7339531557303773,
-    "top1_hosters/by_users[s-rep]": 0.8710888610763454,
-    "top1_hosters/by_users[n=2]": 0.990523869122117,
-    "top1_countries/by_users[no-rep]": 0.6011085285177902,
-    "top1_countries/by_users[s-rep]": 0.8043983550867155,
-    "top1_countries/by_users[n=2]": 0.9583407831217593,
+    "top1_hosters/by_users[no-rep]": 0.7555233611010503,
+    "top1_hosters/by_users[s-rep]": 0.9090909090909091,
+    "top1_hosters/by_users[n=2]": 0.9925751539297356,
+    "top1_countries/by_users[no-rep]": 0.6095617529880478,
+    "top1_countries/by_users[s-rep]": 0.7643969576240492,
+    "top1_countries/by_users[n=2]": 0.9605215501629845,
 }
 GOLDEN_TOP_HOSTER = "OVH"
 GOLDEN_TOP_COUNTRY = "JP"
 
 GOLDEN_CHURN = {
-    "mean_availability[no-rep]": 0.8622335459006297,
-    "min_availability[no-rep]": 0.5785803683175398,
-    "mean_availability[s-rep]": 0.9122265927647655,
-    "min_availability[s-rep]": 0.7421777221526908,
-    "mean_availability[n=2]": 0.9957772115938575,
-    "min_availability[n=2]": 0.9699624530663329,
+    "mean_availability[no-rep]": 0.8466198337961285,
+    "min_availability[no-rep]": 0.45182904744657737,
+    "mean_availability[s-rep]": 0.9199489919111434,
+    "min_availability[s-rep]": 0.7417602318000724,
+    "mean_availability[n=2]": 0.9930039941245121,
+    "min_availability[n=2]": 0.9489315465411083,
 }
 
 

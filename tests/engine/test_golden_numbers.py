@@ -25,14 +25,14 @@ import pytest
 from repro.core import replication, resilience
 
 # Measured on the seeded tiny scenario; update only on deliberate changes.
-GOLDEN_TOOTS = 5593
-GOLDEN_WITHOUT_REPLICA = 1832
-GOLDEN_MORE_THAN_10 = 637
-GOLDEN_SHARE_WITHOUT = 0.32755229751475057  # paper headline: ~9.7%
-GOLDEN_SHARE_GT10 = 0.11389236545682102  # paper headline: ~23%
-GOLDEN_MEAN_REPLICAS = 3.3559806901484
-GOLDEN_SUBSCRIPTION_AT_10 = 0.6622563919184695
-GOLDEN_NO_REPLICATION_AT_10 = 0.16538530305739318
+GOLDEN_TOOTS = 5522
+GOLDEN_WITHOUT_REPLICA = 1661
+GOLDEN_MORE_THAN_10 = 271
+GOLDEN_SHARE_WITHOUT = 0.300796812749004  # paper headline: ~9.7%
+GOLDEN_SHARE_GT10 = 0.049076421586381744  # paper headline: ~23%
+GOLDEN_MEAN_REPLICAS = 2.7946396233248825
+GOLDEN_SUBSCRIPTION_AT_10 = 0.6629844259326332
+GOLDEN_NO_REPLICATION_AT_10 = 0.16189786309308218
 
 EXACT = dict(rel=1e-12, abs=0.0)
 

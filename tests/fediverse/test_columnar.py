@@ -1,12 +1,11 @@
-"""The columnar scenario generator: shape, identity with its own
-materialisation, paging semantics, and the golden per-preset pins.
+"""The columnar scenario: shape, identity with its own materialisation,
+paging semantics, and the golden per-preset pin.
 
-The columnar generator draws whole numpy columns, so it consumes the
-seed's RNG stream in a different order than the legacy per-event
-generator — the two populations are *statistically* matched but not
-bit-identical.  Both are pinned here at tiny/seed-11: the legacy pin
-guards the object path the differential suite materialises against, and
-the columnar pin guards every stream consumer downstream.
+Every entry point draws the population from the one columnar
+generator; :func:`build_scenario` is its :meth:`to_network` view.  The
+pin at tiny/seed-11 guards both the columns every stream consumer reads
+and the object network the in-memory crawl and the differential suite
+materialise.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ from repro.fediverse.timeline import DEFAULT_PAGE_SIZE, Timeline
 from repro.fediverse.entities import Toot, UserRef, Visibility
 from tests.conftest import TINY_SEED
 
-#: Golden population pins at tiny/seed-11 — one per generator.  A
-#: change here means the scenario itself changed: every golden number
-#: in the analysis suites needs re-deriving, so bump deliberately.
-GOLDEN_LEGACY_TINY = {
-    "instances": 40,
-    "users": 1200,
-    "toots": 7610,
-    "public_toots": 6164,
-    "follow_edges": 6203,
-    "federation_edges": 562,
-}
+#: Golden population pin at tiny/seed-11.  A change here means the
+#: scenario itself changed: every golden number in the analysis suites
+#: needs re-deriving, so bump deliberately.
 GOLDEN_COLUMNAR_TINY = {
     "instances": 40,
     "users": 1200,
@@ -55,18 +46,11 @@ def tiny_columnar():
 
 
 class TestGoldenStats:
-    def test_legacy_tiny_pin(self, tiny_network):
-        assert tiny_network.stats() == GOLDEN_LEGACY_TINY
+    def test_network_tiny_pin(self, tiny_network):
+        assert tiny_network.stats() == GOLDEN_COLUMNAR_TINY
 
     def test_columnar_tiny_pin(self, tiny_columnar):
         assert tiny_columnar.stats() == GOLDEN_COLUMNAR_TINY
-
-    def test_generators_statistically_close(self):
-        # not bit-identical (different draw order), but the populations
-        # must land within a few percent of each other
-        legacy, columnar = GOLDEN_LEGACY_TINY, GOLDEN_COLUMNAR_TINY
-        for key in legacy:
-            assert abs(legacy[key] - columnar[key]) <= 0.05 * legacy[key]
 
 
 class TestColumnShapes:
@@ -99,7 +83,7 @@ class TestColumnShapes:
 
     def test_toots_sorted_and_in_window(self, tiny_columnar):
         s = tiny_columnar
-        # originals are time-sorted (legacy postings.sort()); boosts are
+        # originals are time-sorted (posting order); boosts are
         # allocated afterwards with their own later-than-original times
         originals = s.toot_created[s.toot_boost_of == 0]
         assert bool(np.all(originals[1:] >= originals[:-1]))

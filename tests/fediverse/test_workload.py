@@ -148,9 +148,7 @@ class TestReproducibility:
         second = ScenarioGenerator(config).generate()
         assert first.domains() == second.domains()
         assert first.stats() == second.stats()
-        first_counts = {d: len(first.get_instance(d).users) for d in first.domains()}
-        second_counts = {d: len(second.get_instance(d).users) for d in second.domains()}
-        assert first_counts == second_counts
+        assert np.array_equal(first.user_instance, second.user_instance)
 
     def test_different_seed_differs(self):
         base = ScenarioConfig(

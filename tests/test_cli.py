@@ -232,22 +232,38 @@ class TestRunCommand:
         assert "--columnar" in capsys.readouterr().err
 
     def test_collect_columnar_with_graph_then_run_from_both(self, tmp_path, capsys):
-        """collect --columnar --graph writes both stores; run --graph reuses them."""
+        """collect --columnar --graph writes both stores; run over them
+        measures the same world as the in-memory run, exactly."""
+        memory_dir = tmp_path / "memory"
+        stored_dir = tmp_path / "stored"
         corpus_dir = tmp_path / "corp"
         graph_dir = tmp_path / "graph"
         assert main(["collect", "--corpus", str(corpus_dir), "--graph", str(graph_dir),
-                     "--columnar", "--preset", "tiny", "--seed", "3"]) == 0
+                     "--columnar", "--preset", "tiny", "--seed", "42"]) == 0
         out = capsys.readouterr().out
         assert "graph edges" in out
         assert (corpus_dir / "manifest.json").exists()
         assert (graph_dir / "manifest.json").exists()
-        # the columnar generator draws its own RNG stream, so the stores
-        # belong to the *columnar* scenario — run them through fig15 via
-        # an in-process context instead of the legacy-scenario CLI run
         from repro.corpus import GraphStore
 
         store = GraphStore(graph_dir)
         assert store.n_edges > 0
+
+        assert main(["run", "fig15", "fig16", "--preset", "tiny", "--seed", "42",
+                     "--json", str(memory_dir)]) == 0
+        assert main(["run", "fig15", "fig16", "--preset", "tiny", "--seed", "42",
+                     "--corpus", str(corpus_dir), "--graph", str(graph_dir),
+                     "--json", str(stored_dir)]) == 0
+        capsys.readouterr()
+        for name in ("fig15.json", "fig16.json"):
+            memory = json.loads((memory_dir / name).read_text())
+            stored = json.loads((stored_dir / name).read_text())
+            assert memory["scalars"], name
+            assert stored["scalars"] == memory["scalars"], name
+            for payload in (memory, stored):
+                for key in ("elapsed_seconds", "corpus_dir", "graph_dir"):
+                    payload["metadata"].pop(key, None)
+            assert stored == memory, name
 
     def test_run_graph_store_matches_networkx_run(self, tmp_path, capsys):
         """run --corpus --graph reproduces the record-path curves bit for bit."""
