@@ -52,6 +52,19 @@ class TestGoldenStats:
     def test_columnar_tiny_pin(self, tiny_columnar):
         assert tiny_columnar.stats() == GOLDEN_COLUMNAR_TINY
 
+    def test_entry_points_draw_same_population(self, tiny_network, tiny_columnar):
+        # build_scenario is the to_network() view of the same draw, so
+        # the two agree instance by instance, not just in aggregate
+        s = tiny_columnar
+        domains = [d.domain for d in s.descriptors]
+        assert tiny_network.domains() == sorted(domains)
+        users = np.bincount(s.user_instance, minlength=len(domains))
+        toots = np.bincount(s.user_instance[s.toot_author], minlength=len(domains))
+        for index, domain in enumerate(domains):
+            instance = tiny_network.get_instance(domain)
+            assert len(instance.users) == int(users[index]), domain
+            assert len(instance.toots) == int(toots[index]), domain
+
 
 class TestColumnShapes:
     def test_column_alignment(self, tiny_columnar):
