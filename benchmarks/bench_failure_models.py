@@ -89,6 +89,12 @@ def _curve(curves, name) -> np.ndarray:
     return np.asarray([p.availability for p in curves[name]], dtype=np.float64)
 
 
+def monolithic_and_sharded(placements) -> tuple[TootIncidence, ShardedIncidence]:
+    """The two engine inputs every identity check compares."""
+    arrays = placements.arrays
+    return TootIncidence.from_arrays(arrays), ShardedIncidence.from_arrays(arrays, SHARD_SIZE)
+
+
 def check_degenerate_identity(placements, domains, asn_of) -> None:
     """Degenerate new-model configs == existing curves, both paths."""
     ranked = domains[:DEGENERATE_STEPS]
@@ -109,8 +115,9 @@ def check_degenerate_identity(placements, domains, asn_of) -> None:
             name="as-grouped",
         ),
     ]
-    monolithic = availability_curves(placements, models, shard_size=0)
-    sharded = availability_curves(placements, models, shard_size=SHARD_SIZE)
+    monolithic, sharded = (
+        availability_curves(target, models) for target in monolithic_and_sharded(placements)
+    )
     for name in ("inst", "host", "sched", "as", "as-grouped"):
         assert np.array_equal(_curve(monolithic, name), _curve(sharded, name)), name
     assert np.array_equal(_curve(monolithic, "inst"), _curve(monolithic, "host"))
@@ -119,8 +126,9 @@ def check_degenerate_identity(placements, domains, asn_of) -> None:
 
 
 def check_churn_shard_invariance(placements, churn) -> None:
-    monolithic = availability_curves(placements, [churn], shard_size=0)
-    sharded = availability_curves(placements, [churn], shard_size=SHARD_SIZE, workers=2)
+    monolithic, sharded = (
+        availability_curves(target, [churn]) for target in monolithic_and_sharded(placements)
+    )
     assert np.array_equal(_curve(monolithic, "churn"), _curve(sharded, "churn"))
 
 
@@ -170,7 +178,9 @@ def test_failure_model_gates(benchmark):
     check_churn_shard_invariance(placements, churn)
 
     benchmark.pedantic(
-        lambda: availability_curves(placements, [churn], shard_size=SHARD_SIZE),
+        lambda: availability_curves(
+            ShardedIncidence.from_arrays(placements.arrays, SHARD_SIZE), [churn]
+        ),
         rounds=1,
         iterations=1,
     )

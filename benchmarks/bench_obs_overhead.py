@@ -79,7 +79,7 @@ def plain_availability_curves(incidence, failures, shard_size):
 
 def shipped_availability_curves(incidence, failures, shard_size):
     """The shipped, instrumented sweep — exactly what the pipeline runs."""
-    return availability_curves(incidence, failures, shard_size=shard_size)
+    return availability_curves(ShardedIncidence.from_incidence(incidence, shard_size), failures)
 
 
 def _timed(fn, *args):

@@ -6,15 +6,14 @@ matrix plus a dense ``(n_toots, k)`` kill matrix, so a 1M-toot ×
 sharded engine (:mod:`repro.engine.sharding`) streams toot-range shards
 through additive loss tables and never holds more than one shard (plus
 its reduction buffers) at a time.  This benchmark drives both paths over
-the same synthetic 1M-toot placement backend and gates three claims:
+the same synthetic 1M-toot placement backend and gates two claims:
 
 1. **identity** — sharded curves are bit-identical to the monolithic
    pipeline's, ragged tail shard included;
 2. **memory** — peak traced allocation (incidence + kill working set)
-   drops by at least 5×;
-3. **parallelism** — with 4+ cores, the threaded shard path is at least
-   2× faster than single-worker streaming (the gather/``reduceat``
-   kernels release the GIL).  Skipped, loudly, on smaller machines.
+   drops by at least 5×.
+
+It also records the streaming fold's wall time (``serial_seconds``).
 
 Run standalone::
 
@@ -28,7 +27,6 @@ or through the harness::
 from __future__ import annotations
 
 import gc
-import os
 import time
 import tracemalloc
 
@@ -55,9 +53,6 @@ AS_STEPS = 40
 N_INSTANCE_RANKINGS = 16
 N_AS_RANKINGS = 4
 MIN_MEMORY_RATIO = 5.0
-MIN_PARALLEL_SPEEDUP = 2.0
-PARALLEL_WORKERS = 4
-MIN_CORES_FOR_PARALLEL_GATE = 4
 
 
 def synthetic_arrays(
@@ -139,10 +134,10 @@ def run_monolithic(arrays, removal_matrix, steps) -> list[np.ndarray]:
 
 
 def run_sharded(
-    arrays, removal_matrix, steps, shard_size: int = SHARD_SIZE, workers: int | None = None
+    arrays, removal_matrix, steps, shard_size: int = SHARD_SIZE
 ) -> list[np.ndarray]:
     sharded = ShardedIncidence.from_arrays(arrays, shard_size)
-    return sharded_availability_curves(sharded, removal_matrix, steps, workers=workers)
+    return sharded_availability_curves(sharded, removal_matrix, steps)
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -165,12 +160,8 @@ def _timed(fn, *args, **kwargs):
 
 
 def compare(arrays, removal_matrix, steps, rounds: int = 3):
-    """Identity + memory + (core-count permitting) parallel measurements.
-
-    Serial/parallel rounds alternate and each side keeps its minimum, so
-    a CPU-steal window on a shared runner must cover every round of one
-    side to skew the gate.
-    """
+    """Identity + memory measurements, plus the best streaming wall time
+    over ``rounds`` runs."""
     monolithic_curves, monolithic_peak = _traced_peak(
         run_monolithic, arrays, removal_matrix, steps
     )
@@ -180,37 +171,22 @@ def compare(arrays, removal_matrix, steps, rounds: int = 3):
     for j, (expected, got) in enumerate(zip(monolithic_curves, sharded_curves)):
         assert np.array_equal(expected, got), f"curve divergence on schedule {j}"
 
-    serial_time = parallel_time = float("inf")
-    for _ in range(rounds):
-        _, elapsed = _timed(run_sharded, arrays, removal_matrix, steps, workers=1)
-        serial_time = min(serial_time, elapsed)
-        parallel_curves, elapsed = _timed(
-            run_sharded, arrays, removal_matrix, steps, workers=PARALLEL_WORKERS
-        )
-        parallel_time = min(parallel_time, elapsed)
-    for j, (expected, got) in enumerate(zip(monolithic_curves, parallel_curves)):
-        assert np.array_equal(expected, got), f"parallel divergence on schedule {j}"
-
+    serial_time = min(
+        _timed(run_sharded, arrays, removal_matrix, steps)[1] for _ in range(rounds)
+    )
     return {
         "monolithic_peak_bytes": int(monolithic_peak),
         "sharded_peak_bytes": int(sharded_peak),
         "memory_ratio": monolithic_peak / sharded_peak,
         "serial_seconds": serial_time,
-        "parallel_seconds": parallel_time,
-        "parallel_speedup": serial_time / parallel_time,
     }
 
 
-def _assert_gates(measured: dict, cores: int) -> None:
+def _assert_gates(measured: dict) -> None:
     assert measured["memory_ratio"] >= MIN_MEMORY_RATIO, (
         f"sharded peak memory gate: {measured['memory_ratio']:.1f}x < "
         f"{MIN_MEMORY_RATIO:.0f}x required"
     )
-    if cores >= MIN_CORES_FOR_PARALLEL_GATE:
-        assert measured["parallel_speedup"] >= MIN_PARALLEL_SPEEDUP, (
-            f"parallel shard gate: {measured['parallel_speedup']:.2f}x < "
-            f"{MIN_PARALLEL_SPEEDUP:.0f}x required on {cores} cores"
-        )
 
 
 def run_comparison(n_toots: int = N_TOOTS):
@@ -235,7 +211,6 @@ def test_shard_scale_gates(benchmark):
     from benchmarks.conftest import emit
     from repro.reporting import format_table
 
-    cores = os.cpu_count() or 1
     emit(
         f"Sharded streaming — {N_TOOTS:,} toots, {len(failures)} schedules, "
         f"shard={SHARD_SIZE:,}",
@@ -244,35 +219,26 @@ def test_shard_scale_gates(benchmark):
             [
                 ["monolithic (full incidence + kill)",
                  round(measured["monolithic_peak_bytes"] / 2**20, 1), "-"],
-                ["sharded streaming (1 worker)",
+                ["sharded streaming",
                  round(measured["sharded_peak_bytes"] / 2**20, 1),
                  round(measured["serial_seconds"], 3)],
-                [f"sharded streaming ({PARALLEL_WORKERS} workers)", "-",
-                 round(measured["parallel_seconds"], 3)],
             ],
         ),
     )
-    _assert_gates(measured, cores)
+    _assert_gates(measured)
 
 
 def main() -> None:
     measured, n_failures = run_comparison()
-    cores = os.cpu_count() or 1
     print(f"sharded streaming sweep: {N_TOOTS:,} toots x {n_failures} schedules "
           f"(shard={SHARD_SIZE:,})")
-    print("  curves: sharded == monolithic bit-identically (serial and "
-          f"{PARALLEL_WORKERS}-worker paths)")
+    print("  curves: sharded == monolithic bit-identically")
     print(f"  monolithic peak     : {measured['monolithic_peak_bytes'] / 2**20:8.1f} MiB")
     print(f"  sharded peak        : {measured['sharded_peak_bytes'] / 2**20:8.1f} MiB")
     print(f"  memory reduction    : {measured['memory_ratio']:8.1f}x "
           f"(required >= {MIN_MEMORY_RATIO:.0f}x)")
-    print(f"  serial / parallel   : {measured['serial_seconds']:.3f}s / "
-          f"{measured['parallel_seconds']:.3f}s "
-          f"({measured['parallel_speedup']:.2f}x on {cores} cores)")
-    if cores < MIN_CORES_FOR_PARALLEL_GATE:
-        print(f"  parallel gate       : SKIPPED (needs >= "
-              f"{MIN_CORES_FOR_PARALLEL_GATE} cores, have {cores})")
-    _assert_gates(measured, cores)
+    print(f"  streaming fold      : {measured['serial_seconds']:.3f}s")
+    _assert_gates(measured)
 
     try:
         from benchmarks.perf_log import record
@@ -286,7 +252,6 @@ def main() -> None:
             "n_schedules": n_failures,
             "shard_size": SHARD_SIZE,
             "min_memory_ratio": MIN_MEMORY_RATIO,
-            "min_parallel_speedup": MIN_PARALLEL_SPEEDUP,
             **{key: round(value, 4) if isinstance(value, float) else value
                for key, value in measured.items()},
         },

@@ -9,7 +9,7 @@ Seven subcommands cover the common workflows::
     repro-mastodon experiments                            # list every table/figure
     repro-mastodon run fig15 fig16 --preset small --seed 42 --json out/
     repro-mastodon run --all --preset tiny --seed 7       # the whole evaluation
-    repro-mastodon run fig15 fig16 --preset large --corpus corpus/ --workers 4
+    repro-mastodon run fig15 fig16 --preset large --corpus corpus/
     repro-mastodon serve corpus/ --graph graph/ --warm    # availability queries
 
 The CLI is a thin wrapper over the public API: ``run`` dispatches
@@ -313,24 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write one <experiment>.json result file per experiment into DIR",
     )
     run.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="TOOTS",
-        help=(
-            "evaluate availability sweeps in toot-range shards of this size "
-            "(0 disables sharding; default: automatic past the engine's "
-            "corpus-size threshold)"
-        ),
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate incidence shards on N threads (implies sharding for N > 1)",
-    )
-    run.add_argument(
         "--corpus",
         nargs="?",
         const="",
@@ -435,13 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         metavar="N",
         help="length of the built-in removal schedules (default: 50)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate loss-table shards on N threads during the one-time build",
     )
     _add_observability_arguments(serve)
     serve.set_defaults(func=_command_serve)
@@ -708,8 +683,6 @@ def _command_run(args: argparse.Namespace) -> int:
         preset=args.preset,
         seed=args.seed,
         monitor_interval_minutes=args.monitor_interval,
-        shard_size=args.shard_size,
-        workers=args.workers,
         corpus_dir=corpus_dir,
         graph_dir=graph_dir,
         fault_rate=args.fault_rate,
@@ -763,7 +736,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             args.graph_dir,
             mmap=not args.no_mmap,
             removal_steps=args.removal_steps,
-            workers=args.workers,
         )
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)

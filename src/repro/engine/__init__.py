@@ -18,12 +18,12 @@ and then answers whole experiments with batch numpy/scipy reductions:
 entire availability curves per failure schedule
 (:mod:`repro.engine.kernels`), whole LCC/component removal trajectories
 (:mod:`repro.engine.resilience`), and full (strategy × failure × seed)
-grids in one call (:mod:`repro.engine.sweep`).  Past the auto-shard
-threshold — or on request via ``shard_size``/``workers`` — evaluation
-streams through :class:`ShardedIncidence`
-(:mod:`repro.engine.sharding`): per-toot-range incidence shards
-assembled lazily and reduced to additive loss tables, so peak memory is
-O(shard) and shards can run thread-parallel with bit-identical output.
+grids in one call (:mod:`repro.engine.sweep`).  A
+:class:`ShardedIncidence` input, or an arrays-backed placement map past
+the auto-shard threshold, streams through :mod:`repro.engine.sharding`:
+per-toot-range incidence shards assembled lazily and reduced to
+additive loss tables, so peak memory is O(shard) with bit-identical
+output.
 
 The public functions in :mod:`repro.core` remain the stable API; they
 dispatch here and are held to *bit-identical* outputs by the

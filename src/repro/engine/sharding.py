@@ -18,27 +18,21 @@ and assembles each shard's CSR matrix lazily (generator-based, so peak
 incidence memory is O(shard), not O(corpus)); for placements that only
 exist as a built :class:`~repro.engine.incidence.TootIncidence`,
 :meth:`ShardedIncidence.from_incidence` shards the existing matrix by
-row range instead.  :func:`streaming_losses` folds the shards into one
-small ``(k, max_steps + 1)`` loss table — serially, or across a
-``ThreadPoolExecutor`` when ``workers > 1``: the gather and
-``maximum.reduceat`` kernels release the GIL, shards are independent,
-and the reduction is an integer sum folded in shard order, so the
-parallel path is deterministic and bit-identical to the serial one.
+row range instead.  :func:`streaming_losses` folds the shards, in
+order, into one small ``(k, max_steps + 1)`` loss table.
 
-``availability_curves`` / ``run_availability_sweep``
-(:mod:`repro.engine.sweep`) expose this via ``shard_size`` / ``workers``
-knobs with an auto-shard threshold; the CLI forwards them as
-``--shard-size`` / ``--workers``.  ``benchmarks/bench_shard_scale.py``
-gates the identity, memory, and parallel-speedup claims.
+:func:`~repro.engine.sweep.availability_curves` streams whenever it is
+handed a :class:`ShardedIncidence`, and builds one automatically for
+arrays-backed placement maps of at least :data:`AUTO_SHARD_THRESHOLD`
+toots.  ``benchmarks/bench_shard_scale.py`` gates the identity and
+memory claims.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -48,15 +42,18 @@ from repro.errors import AnalysisError
 from repro.engine.incidence import DomainLookup, TootIncidence
 from repro.engine.kernels import curves_from_loss_table, losses_per_step_batch
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.placement import PlacementArrays
+
 #: Corpora at or above this many toots are sharded automatically when the
 #: integer-coded arrays backend is available (see ``_resolve_sharding``
 #: in :mod:`repro.engine.sweep`).
 AUTO_SHARD_THRESHOLD = 1_000_000
 
-#: Shard size used when sharding is requested (or auto-triggered)
-#: without an explicit size: large enough to amortise per-shard numpy
-#: call overhead, small enough that a shard's CSR structure plus the
-#: reduction buffers stay tens of megabytes.
+#: Shard size used when sharding is auto-triggered for a backend that
+#: records no crawl shard boundaries: large enough to amortise per-shard
+#: numpy call overhead, small enough that a shard's CSR structure plus
+#: the reduction buffers stay tens of megabytes.
 DEFAULT_SHARD_SIZE = 250_000
 
 
@@ -182,9 +179,9 @@ class ShardedIncidence:
         """Shard an already-built incidence matrix by row range.
 
         The incidence memory is already paid here; sharding still caps
-        the *evaluation* working set per shard and enables the threaded
-        path.  Shard CSR structures are zero-copy views over the parent
-        matrix's ``indices``/``data`` plus a rebased ``indptr``.
+        the *evaluation* working set per shard.  Shard CSR structures
+        are zero-copy views over the parent matrix's ``indices``/``data``
+        plus a rebased ``indptr``.
         """
         matrix = incidence.matrix
         indptr = matrix.indptr
@@ -295,8 +292,6 @@ def streaming_losses(
     sharded: ShardedIncidence,
     removal_matrix: np.ndarray,
     steps_per_schedule: np.ndarray,
-    *,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Accumulate per-(schedule, step) loss counts across every shard.
 
@@ -304,14 +299,8 @@ def streaming_losses(
     table (:func:`~repro.engine.kernels.losses_per_step_batch` over the
     shard's rows); tables are integer counts over disjoint toot ranges,
     so their sum equals the unsharded table exactly — no floating-point
-    reassociation anywhere.
-
-    ``workers > 1`` evaluates shards on a thread pool (the numpy
-    gather/``reduceat`` kernels release the GIL); results are folded in
-    shard order as they are submitted, so the accumulated table — and
-    every curve derived from it — is deterministic and bit-identical
-    regardless of thread scheduling.  Peak memory holds at most
-    ``workers`` assembled shards at once.
+    reassociation anywhere.  Shards are assembled one at a time, so
+    peak memory holds a single shard.
     """
     removal_matrix = np.asarray(removal_matrix, dtype=np.float64)
     if removal_matrix.ndim != 2:
@@ -323,60 +312,28 @@ def streaming_losses(
     max_steps = int(steps.max()) if n_schedules else 0
     losses = np.zeros((n_schedules, max_steps + 1), dtype=np.int64)
 
-    def evaluate(bounds: tuple[int, int]) -> np.ndarray:
-        shard = sharded.shard(*bounds)
+    def fold(start: int, stop: int) -> np.ndarray:
+        shard = sharded.shard(start, stop)
         return losses_per_step_batch(shard.matrix, removal_matrix, steps)
 
+    # when somebody is watching, wrap each fold in a span; the inactive
+    # path pays exactly one obs.active() check
     bounds = sharded.shard_bounds()
-    threaded = workers is not None and workers > 1 and len(bounds) > 1
-
-    # when somebody is watching, wrap each fold in a span and tally the
-    # busy time each worker spends inside kernels; the inactive path
-    # pays exactly one obs.active() check
     observing = obs.active()
-    if observing:
-        plain_evaluate = evaluate
-        busy = [0.0]
-        busy_lock = threading.Lock()
-
-        def evaluate(bounds: tuple[int, int]) -> np.ndarray:
-            with obs.span("engine/shard", start=bounds[0], stop=bounds[1]):
+    with obs.span("engine/streaming_losses", shards=len(bounds), schedules=n_schedules):
+        for start, stop in bounds:
+            if not observing:
+                losses += fold(start, stop)
+                continue
+            with obs.span("engine/shard", start=start, stop=stop):
                 fold_started = time.perf_counter()
-                table = plain_evaluate(bounds)
+                losses += fold(start, stop)
                 fold_seconds = time.perf_counter() - fold_started
             obs.observe("repro_engine_fold_seconds", fold_seconds)
-            with busy_lock:
-                busy[0] += fold_seconds
-            return table
-
-        wall_started = time.perf_counter()
-
-    with obs.span(
-        "engine/streaming_losses",
-        shards=len(bounds),
-        schedules=n_schedules,
-        workers=workers if threaded else 1,
-    ):
-        if threaded:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # executor.map yields in submission order: a fixed,
-                # shard-ordered fold no matter which thread finishes first
-                for table in pool.map(evaluate, bounds):
-                    losses += table
-        else:
-            for shard_bounds in bounds:
-                losses += evaluate(shard_bounds)
 
     if observing:
-        wall = time.perf_counter() - wall_started
         obs.count("repro_engine_shard_folds_total", len(bounds))
         obs.count("repro_engine_toots_folded_total", sharded.n_toots)
-        pool_size = workers if threaded else 1
-        if wall > 0:
-            obs.set_gauge(
-                "repro_engine_worker_utilisation",
-                min(1.0, busy[0] / (wall * pool_size)),
-            )
     return losses
 
 
@@ -384,8 +341,6 @@ def sharded_availability_curves(
     sharded: ShardedIncidence,
     removal_matrix: np.ndarray,
     steps_per_schedule: np.ndarray,
-    *,
-    workers: int | None = None,
 ) -> list[np.ndarray]:
     """Availability curves over shards — the streaming counterpart of
     :func:`~repro.engine.kernels.availability_curves_batch`.
@@ -395,5 +350,5 @@ def sharded_availability_curves(
     is bit-identical to the unsharded batch for any shard size.
     """
     steps = np.asarray(steps_per_schedule, dtype=np.int64)
-    losses = streaming_losses(sharded, removal_matrix, steps, workers=workers)
+    losses = streaming_losses(sharded, removal_matrix, steps)
     return curves_from_loss_table(losses, steps, sharded.n_toots)

@@ -16,13 +16,12 @@ Incidence matrices are memoised per placement map
 across sweeps, wrappers, or ad-hoc experiments — rebuild nothing.
 
 Past a million toots the full incidence matrix itself becomes the
-memory ceiling, so :func:`availability_curves` and
-:func:`run_availability_sweep` take ``shard_size`` / ``workers`` knobs:
-arrays-backed placements are then evaluated shard by shard through
-:mod:`repro.engine.sharding` (bit-identical curves, O(shard) peak
-memory, optional thread-parallel shards).  Corpora at or above
-:data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots shard
-automatically; ``shard_size=0`` forces the monolithic path.
+memory ceiling, so the evaluation path follows from the input alone: a
+:class:`~repro.engine.incidence.TootIncidence` is reduced monolithically,
+a :class:`~repro.engine.sharding.ShardedIncidence` is streamed shard by
+shard (bit-identical curves, O(shard) peak memory), and a
+:class:`PlacementMap` streams only when it is arrays-backed with at
+least :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots.
 """
 
 from __future__ import annotations
@@ -66,84 +65,47 @@ def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
 def availability_curve(
     placements: PlacementMap | TootIncidence | ShardedIncidence,
     failure: FailureModel,
-    *,
-    shard_size: int | None = None,
-    workers: int | None = None,
 ) -> list[AvailabilityPoint]:
     """One availability curve for one placement map and one failure model."""
-    curves = availability_curves(
-        placements, [failure], shard_size=shard_size, workers=workers
-    )
-    return curves[failure.name]
+    return availability_curves(placements, [failure])[failure.name]
 
 
 def _resolve_sharding(
     placements: PlacementMap | TootIncidence | ShardedIncidence,
-    shard_size: int | None,
-    workers: int | None,
 ) -> ShardedIncidence | None:
-    """Decide whether — and over what backing store — to shard.
+    """The sharded view to stream over, or ``None`` for the monolithic path.
 
-    ``shard_size=None`` is automatic: arrays-backed corpora at or above
-    :data:`AUTO_SHARD_THRESHOLD` toots shard at :data:`DEFAULT_SHARD_SIZE`,
-    as does any request for ``workers > 1`` (parallelism needs shards).
-    Backends built from a columnar corpus carry their crawl shard
-    boundaries (``PlacementArrays.source_bounds``); automatic sharding
-    streams over exactly those shards, so the on-disk layout and the
-    evaluation working set line up.  ``shard_size=0`` opts out entirely;
-    any other explicit size forces (uniform) sharding.  Arrays-backed
-    placements shard without ever building the full incidence matrix;
-    built matrices and dict-backed maps shard by row-range views.
+    A :class:`ShardedIncidence` streams as given and a
+    :class:`TootIncidence` never streams.  A :class:`PlacementMap`
+    streams only when it is arrays-backed with at least
+    :data:`AUTO_SHARD_THRESHOLD` toots, never building the full
+    incidence matrix.  Backends built from a columnar corpus carry their
+    crawl shard boundaries (``PlacementArrays.source_bounds``) and
+    stream over exactly those shards, so the on-disk layout and the
+    evaluation working set line up; others stream in
+    :data:`DEFAULT_SHARD_SIZE` shards.
     """
     if isinstance(placements, ShardedIncidence):
         return placements
-    if shard_size is not None and shard_size < 0:
-        raise AnalysisError("shard_size must be a positive number of toots (or 0)")
-    if shard_size == 0:
-        if workers is not None and workers > 1:
-            raise AnalysisError(
-                "workers > 1 needs shards to parallelise over — "
-                "drop shard_size=0 or the workers request"
-            )
+    if isinstance(placements, TootIncidence):
         return None
-    arrays = (
-        None
-        if isinstance(placements, TootIncidence)
-        else getattr(placements, "arrays", None)
-    )
-    if shard_size is None:
-        auto_shard = (
-            arrays is not None and arrays.n_toots >= AUTO_SHARD_THRESHOLD
-        ) or (workers is not None and workers > 1)
-        if not auto_shard:
-            return None
-        source_bounds = getattr(arrays, "source_bounds", None)
-        if source_bounds:
-            return ShardedIncidence.from_arrays(arrays, bounds=source_bounds)
-        shard_size = DEFAULT_SHARD_SIZE
-    if arrays is not None:
-        return ShardedIncidence.from_arrays(arrays, shard_size)
-    incidence = (
-        placements
-        if isinstance(placements, TootIncidence)
-        else TootIncidence.from_placements(placements)
-    )
-    return ShardedIncidence.from_incidence(incidence, shard_size)
+    arrays = getattr(placements, "arrays", None)
+    if arrays is None or arrays.n_toots < AUTO_SHARD_THRESHOLD:
+        return None
+    if arrays.source_bounds:
+        return ShardedIncidence.from_arrays(arrays, bounds=arrays.source_bounds)
+    return ShardedIncidence.from_arrays(arrays, DEFAULT_SHARD_SIZE)
 
 
 def availability_curves(
     placements: PlacementMap | TootIncidence | ShardedIncidence,
     failures: Sequence[FailureModel],
-    *,
-    shard_size: int | None = None,
-    workers: int | None = None,
 ) -> dict[str, list[AvailabilityPoint]]:
     """Curves for many failure models over one shared incidence matrix.
 
-    ``shard_size`` / ``workers`` route the evaluation through the
-    streaming sharded engine (:mod:`repro.engine.sharding`); the curves
-    are bit-identical either way, so the knobs trade peak memory and
-    wall time only.
+    The input picks the path (see :func:`_resolve_sharding`): streaming
+    through :mod:`repro.engine.sharding` or one monolithic reduction.
+    The curves are bit-identical either way.
 
     Cumulative models contribute one removal column each; temporal
     models (``failure.temporal``) contribute one single-step column per
@@ -157,7 +119,7 @@ def availability_curves(
     names = [failure.name for failure in failures]
     if len(set(names)) != len(names):
         raise AnalysisError("failure models must have distinct names")
-    sharded = _resolve_sharding(placements, shard_size, workers)
+    sharded = _resolve_sharding(placements)
     if sharded is not None:
         target: ShardedIncidence | TootIncidence = sharded
     else:
@@ -192,7 +154,7 @@ def availability_curves(
         removal_matrix = np.concatenate(blocks, axis=1)
         steps = np.asarray(col_steps, dtype=np.int64)
         if sharded is not None:
-            losses = streaming_losses(sharded, removal_matrix, steps, workers=workers)
+            losses = streaming_losses(sharded, removal_matrix, steps)
             total = sharded.n_toots
         else:
             losses = losses_per_step_batch(target.matrix, removal_matrix, steps)
@@ -361,18 +323,15 @@ def run_availability_sweep(
     graphs: "GraphDataset | None" = None,
     candidate_domains: Sequence[str] | None = None,
     keep_placements: bool = False,
-    shard_size: int | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
     """Evaluate every (strategy, failure) combination in one call.
 
     Builds each strategy's placement map and incidence matrix once, then
     batch-evaluates all failure schedules against it.  Random strategies
     carry their own seeds, so a seed sweep is just more
-    :class:`StrategySpec` entries.  ``shard_size`` / ``workers`` stream
-    each strategy's evaluation through the sharded engine (automatic at
-    :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots) — same
-    curves, bounded memory.
+    :class:`StrategySpec` entries.  Placement maps large enough to
+    shard stream through the sharded engine (see
+    :func:`availability_curves`) — same curves, bounded memory.
     """
     if not strategies:
         raise AnalysisError("need at least one placement strategy")
@@ -385,9 +344,7 @@ def run_availability_sweep(
         placements = spec.build(toots, graphs=graphs, candidate_domains=candidate_domains)
         if keep_placements:
             placements_by_name[spec.name] = placements
-        strategy_curves = availability_curves(
-            placements, failures, shard_size=shard_size, workers=workers
-        )
+        strategy_curves = availability_curves(placements, failures)
         for failure_name, curve in strategy_curves.items():
             curves[(spec.name, failure_name)] = curve
     return SweepResult(

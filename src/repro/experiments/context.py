@@ -67,8 +67,6 @@ class ExperimentContext:
         twitter_days: int = 300,
         twitter_users: int = 4_000,
         twitter_seed: int = 2007,
-        shard_size: int | None = None,
-        workers: int | None = None,
         corpus_dir: "str | Path | None" = None,
         corpus_shard_size: int | None = None,
         graph_dir: "str | Path | None" = None,
@@ -85,10 +83,6 @@ class ExperimentContext:
         self.twitter_days = twitter_days
         self.twitter_users = twitter_users
         self.twitter_seed = twitter_seed
-        #: Streaming-evaluation knobs forwarded to every sweep (None =
-        #: automatic: shard past the engine's corpus-size threshold).
-        self.shard_size = shard_size
-        self.workers = workers
         #: When set, the toot crawl streams into a columnar corpus at
         #: this directory (:mod:`repro.corpus`) and placement maps build
         #: straight from its columns — no ``TootRecord`` lists anywhere
@@ -456,10 +450,9 @@ class ExperimentContext:
         :func:`repro.engine.sweep.run_availability_sweep`: placement maps
         come from :meth:`placements_for`, so repeated sweeps sharing a
         strategy also share its incidence matrix via the engine's weak
-        per-map cache.  The context's ``shard_size`` / ``workers`` knobs
-        are forwarded to every evaluation, so large presets stream
-        through the sharded engine instead of materialising full
-        matrices.
+        per-map cache.  Arrays-backed placement maps past the engine's
+        auto-shard threshold stream through the sharded engine instead
+        of materialising full matrices.
         """
         if not strategies:
             raise AnalysisError("need at least one placement strategy")
@@ -485,12 +478,7 @@ class ExperimentContext:
             if missing:
                 fresh = self._phase(
                     "sweep",
-                    lambda: availability_curves(
-                        placements,
-                        missing,
-                        shard_size=self.shard_size,
-                        workers=self.workers,
-                    ),
+                    lambda: availability_curves(placements, missing),
                     strategy=spec.name,
                     failures=len(missing),
                 )
@@ -520,10 +508,6 @@ class ExperimentContext:
             "seed": self.seed,
             "monitor_interval_minutes": self.monitor_interval_minutes,
         }
-        if self.shard_size is not None:
-            metadata["shard_size"] = self.shard_size
-        if self.workers is not None:
-            metadata["workers"] = self.workers
         if self.corpus_dir is not None:
             metadata["corpus_dir"] = str(self.corpus_dir)
         if self.graph_dir is not None:

@@ -140,10 +140,11 @@ class ScenarioConfig:
         instance's federated timeline — the crawl volume grows with
         instances × timeline length — and users drive the memory-hungry
         follower graph.  A paper-scale-pointing corpus therefore wants
-        many toots over a moderately larger population.  Drive the
-        sweeps with sharded evaluation (``--shard-size``/``--workers``):
-        the point of this preset is that evaluation no longer needs the
-        whole corpus in memory at once.
+        many toots over a moderately larger population.  Run it with
+        ``--corpus``: arrays-backed placement maps past the engine's
+        auto-shard threshold stream shard by shard, and the point of
+        this preset is that evaluation no longer needs the whole corpus
+        in memory at once.
         """
         return replace(
             cls.medium(seed=seed).scaled(2.0),

@@ -125,14 +125,12 @@ class AvailabilityService:
         *,
         mmap: bool = True,
         removal_steps: int = DEFAULT_REMOVAL_STEPS,
-        workers: int | None = None,
         candidates: Sequence[str] | None = None,
     ) -> None:
         self.corpus = CorpusStore(corpus_dir, mmap=mmap)
         self.graph = GraphStore(graph_dir, mmap=mmap) if graph_dir is not None else None
         self.mmap = bool(mmap)
         self.removal_steps = removal_steps
-        self.workers = workers
         #: Candidate targets for random replication.  The batch pipeline
         #: uses the monitor's instance list, which no store records; the
         #: default here is the corpus' full domain universe.  Pass the
@@ -305,10 +303,7 @@ class AvailabilityService:
                 build_started = time.perf_counter()
                 column, steps = self._removal_for(state, failure)
                 losses = streaming_losses(
-                    state.sharded,
-                    column,
-                    np.asarray([steps], dtype=np.int64),
-                    workers=self.workers,
+                    state.sharded, column, np.asarray([steps], dtype=np.int64)
                 )
                 curve = availability_from_losses(
                     losses[0, : steps + 1], state.sharded.n_toots

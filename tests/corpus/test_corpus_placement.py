@@ -18,6 +18,7 @@ from repro.engine import (
     PlacementArrays,
     ShardedIncidence,
     StrategySpec,
+    TootIncidence,
     availability_curves,
 )
 from repro.engine.placement import (
@@ -142,13 +143,31 @@ class TestSweepIdentity:
         )
         assert sharded.shard_bounds() == list(tiny_store.shard_bounds())
         assert availability_curves(sharded, [failure]) == expected
-        # the workers path auto-shards over the corpus bounds
-        threaded = availability_curves(
-            replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),
-            [failure],
-            workers=2,
+
+    def test_auto_sharding_streams_along_crawl_shards(
+        self, tiny_store, candidate_domains, failure, monkeypatch
+    ):
+        corpus_arrays = PlacementArrays.from_corpus(
+            tiny_store, "random", candidate_domains=candidate_domains,
+            n_replicas=3, seed=2,
         )
-        assert threaded == expected
+        placements = replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays)
+        expected = availability_curves(TootIncidence.from_arrays(corpus_arrays), [failure])
+        assert len(corpus_arrays.source_bounds) > 1
+
+        requested_bounds = []
+        original = ShardedIncidence.from_arrays
+
+        def spy(arrays, shard_size=None, *, bounds=None):
+            requested_bounds.append(bounds)
+            return original(arrays, shard_size, bounds=bounds)
+
+        monkeypatch.setattr("repro.engine.sweep.AUTO_SHARD_THRESHOLD", 1)
+        monkeypatch.setattr(ShardedIncidence, "from_arrays", spy)
+        # the full matrix must never be built: from_placements would raise
+        monkeypatch.setattr(TootIncidence, "from_placements", None)
+        assert availability_curves(placements, [failure]) == expected
+        assert requested_bounds == [corpus_arrays.source_bounds]
 
     def test_invalid_bounds_rejected(self, tiny_store, candidate_domains):
         arrays = PlacementArrays.from_corpus(

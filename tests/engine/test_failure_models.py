@@ -34,6 +34,7 @@ from repro.engine import (
     HosterRemoval,
     InstanceRemoval,
     ScheduledDowntime,
+    ShardedIncidence,
     TemporalChurn,
     TootIncidence,
     availability_curves,
@@ -85,6 +86,13 @@ def make_models() -> dict[str, object]:
 def placements():
     toots = flat_toots(N_TOOTS, list(DOMAINS), seed=5)
     return replication.random_replication(toots, list(DOMAINS), 3, seed=2)
+
+
+def evaluated(placements, shard_size):
+    """The engine input for one grid cell: 0 is the monolithic matrix."""
+    if shard_size == 0:
+        return TootIncidence.from_placements(placements)
+    return ShardedIncidence.from_arrays(placements.arrays, shard_size)
 
 
 def curve_array(curves, name):
@@ -198,7 +206,8 @@ class TestTemporalContract:
         no_rep = replication.no_replication(
             flat_toots(N_TOOTS, list(DOMAINS), seed=5)
         )
-        curve = curve_array(availability_curves(no_rep, [model], shard_size=0), "blip")
+        curves = availability_curves(TootIncidence.from_placements(no_rep), [model])
+        curve = curve_array(curves, "blip")
         assert curve[0] == 1.0
         assert curve[2] == curve[3] < 1.0
         assert curve[1] == curve[4] == curve[5] == curve[6] == 1.0
@@ -218,7 +227,7 @@ class TestDifferential:
             steps=steps,
             name="sched",
         )
-        curves = availability_curves(placements, [inst, sched], shard_size=shard_size)
+        curves = availability_curves(evaluated(placements, shard_size), [inst, sched])
         assert np.array_equal(curve_array(curves, "inst"), curve_array(curves, "sched"))
 
     @pytest.mark.parametrize("shard_size", (0,) + SHARD_SIZES)
@@ -229,7 +238,7 @@ class TestDifferential:
         steps = 10
         inst = InstanceRemoval(DOMAINS, steps=steps, name="inst")
         hoster = HosterRemoval({d: d for d in DOMAINS}, DOMAINS, steps=steps, name="host")
-        curves = availability_curves(placements, [inst, hoster], shard_size=shard_size)
+        curves = availability_curves(evaluated(placements, shard_size), [inst, hoster])
         assert np.array_equal(curve_array(curves, "inst"), curve_array(curves, "host"))
 
     @pytest.mark.parametrize("shard_size", (0,) + SHARD_SIZES)
@@ -243,7 +252,7 @@ class TestDifferential:
             steps=4,
             name="grouped",
         )
-        curves = availability_curves(placements, [as_model, grouped], shard_size=shard_size)
+        curves = availability_curves(evaluated(placements, shard_size), [as_model, grouped])
         assert np.array_equal(curve_array(curves, "as"), curve_array(curves, "grouped"))
 
     def test_country_grouping_is_the_same_machinery(self, placements):
@@ -253,7 +262,7 @@ class TestDifferential:
         country = CountryRemoval(
             {d: d for d in DOMAINS[:steps]}, DOMAINS[:steps], steps=steps, name="country"
         )
-        curves = availability_curves(placements, [inst, country], shard_size=0)
+        curves = availability_curves(TootIncidence.from_placements(placements), [inst, country])
         assert np.array_equal(curve_array(curves, "inst"), curve_array(curves, "country"))
 
     def test_mixed_cumulative_and_temporal_batch(self, placements):
@@ -263,9 +272,9 @@ class TestDifferential:
             make_models()["churn"],
             ASRemoval(ASN_OF, sorted(set(ASN_OF.values())), steps=4, name="as"),
         ]
-        together = availability_curves(placements, models, shard_size=0)
+        together = availability_curves(TootIncidence.from_placements(placements), models)
         for model in models:
-            solo = availability_curves(placements, [model], shard_size=0)
+            solo = availability_curves(TootIncidence.from_placements(placements), [model])
             assert np.array_equal(
                 curve_array(together, model.name), curve_array(solo, model.name)
             ), model.name

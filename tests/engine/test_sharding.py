@@ -5,12 +5,12 @@ every shard size — the composition law (per-step losses are additive
 integer counts across toot ranges) admits no tolerance.  The grid here
 crosses shard sizes {1, a prime, n_toots, n_toots + 7} (the prime forces
 a ragged tail shard) with every placement backend — no-replication,
-unweighted and weighted random, subscription, and dict-backed maps — and
-the ``workers > 1`` thread path, which must be deterministic under any
-thread scheduling because the loss tables are folded in shard order.
+unweighted and weighted random, subscription, and dict-backed maps.
 """
 
 from __future__ import annotations
+
+import typing
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from repro.engine import (
     run_availability_sweep,
     streaming_losses,
 )
+from repro.core.replication import AvailabilityPoint
+from repro.engine.placement import PlacementArrays
 from repro.engine.sweep import StrategySpec
 from repro.errors import AnalysisError
 
@@ -52,6 +54,13 @@ def corpus():
         ASRemoval(asn_of, sorted(set(asn_of.values())), steps=4, name="ases"),
     ]
     return toots, domains, weights, failures
+
+
+def shard_view(placements, shard_size):
+    """A uniform shard view: straight from the arrays backend when there is one."""
+    if placements.arrays is not None:
+        return ShardedIncidence.from_arrays(placements.arrays, shard_size)
+    return ShardedIncidence.from_incidence(TootIncidence.from_placements(placements), shard_size)
 
 
 def backends(corpus):
@@ -119,8 +128,8 @@ class TestShardedEquivalence:
     def test_every_backend_matches_unsharded(self, corpus, shard_size):
         _, _, _, failures = corpus
         for label, placements in backends(corpus).items():
-            expected = availability_curves(placements, failures, shard_size=0)
-            got = availability_curves(placements, failures, shard_size=shard_size)
+            expected = availability_curves(TootIncidence.from_placements(placements), failures)
+            got = availability_curves(shard_view(placements, shard_size), failures)
             assert got == expected, (label, shard_size)
 
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
@@ -131,8 +140,8 @@ class TestShardedEquivalence:
             InstanceRemoval(domains, steps=min(10, len(domains)), name="rank"),
             ASRemoval(asn_of, sorted(set(asn_of.values())), steps=3, name="ases"),
         ]
-        expected = availability_curves(placements, failures, shard_size=0)
-        got = availability_curves(placements, failures, shard_size=shard_size)
+        expected = availability_curves(TootIncidence.from_placements(placements), failures)
+        got = availability_curves(shard_view(placements, shard_size), failures)
         assert got == expected
 
     def test_dict_backed_map_shards_via_row_views(self, corpus):
@@ -142,64 +151,31 @@ class TestShardedEquivalence:
             strategy="dict", placements=dict(arrays_backed.placements)
         )
         expected = availability_curves(dict_backed, failures)
-        got = availability_curves(dict_backed, failures, shard_size=PRIME_SHARD)
+        got = availability_curves(shard_view(dict_backed, PRIME_SHARD), failures)
         assert got == expected
 
-    def test_sweep_api_threads_the_knobs(self, corpus):
+    def test_sweep_api_auto_shards(self, corpus, monkeypatch):
         toots, domains, _, failures = corpus
         strategies = [StrategySpec.none(), StrategySpec.random(2, seed=4)]
         baseline = run_availability_sweep(
             toots, strategies, failures, candidate_domains=domains
         )
-        sharded = run_availability_sweep(
-            toots,
-            strategies,
-            failures,
-            candidate_domains=domains,
-            shard_size=PRIME_SHARD,
-            workers=2,
+        monkeypatch.setattr("repro.engine.sweep.AUTO_SHARD_THRESHOLD", 50)
+        monkeypatch.setattr("repro.engine.sweep.DEFAULT_SHARD_SIZE", PRIME_SHARD)
+        streamed = run_availability_sweep(
+            toots, strategies, failures, candidate_domains=domains
         )
-        assert sharded.curves == baseline.curves
+        assert streamed.curves == baseline.curves
 
 
-# -- the parallel path: deterministic under thread scheduling ---------------------
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("shard_size", (1, PRIME_SHARD))
-    def test_threaded_matches_serial_bit_identically(self, corpus, shard_size):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["weighted-random"]
-        serial = availability_curves(placements, failures, shard_size=shard_size)
-        for _ in range(5):  # five runs: thread scheduling must never matter
-            threaded = availability_curves(
-                placements, failures, shard_size=shard_size, workers=3
-            )
-            assert threaded == serial
-
-    def test_workers_alone_trigger_sharding(self, corpus, monkeypatch):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        expected = availability_curves(placements, failures, shard_size=0)
-
-        def forbidden(cls, maps):
-            raise AssertionError("workers>1 on an arrays backend must not build the full matrix")
-
-        monkeypatch.setattr(
-            TootIncidence, "from_placements", classmethod(forbidden)
-        )
-        got = availability_curves(placements, failures, workers=2)
-        assert got == expected
-
-
-# -- auto-shard threshold and knob validation -------------------------------------
+# -- the input picks the path ----------------------------------------------------
 
 
 class TestResolution:
     def test_auto_threshold_shards_without_full_incidence(self, corpus, monkeypatch):
         _, _, _, failures = corpus
         placements = backends(corpus)["random"]
-        expected = availability_curves(placements, failures, shard_size=0)
+        expected = availability_curves(TootIncidence.from_placements(placements), failures)
         monkeypatch.setattr("repro.engine.sweep.AUTO_SHARD_THRESHOLD", 50)
         monkeypatch.setattr("repro.engine.sweep.DEFAULT_SHARD_SIZE", PRIME_SHARD)
 
@@ -220,17 +196,16 @@ class TestResolution:
             placements
         )
 
-    def test_negative_shard_size_raises(self, corpus):
+    def test_incidence_and_dict_maps_never_stream(self, corpus, monkeypatch):
         _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        with pytest.raises(AnalysisError):
-            availability_curves(placements, failures, shard_size=-1)
-
-    def test_unsharded_with_workers_is_rejected(self, corpus):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        with pytest.raises(AnalysisError, match="workers > 1 needs shards"):
-            availability_curves(placements, failures, shard_size=0, workers=4)
+        arrays_backed = backends(corpus)["random"]
+        dict_backed = replication.PlacementMap(
+            strategy="dict", placements=dict(arrays_backed.placements)
+        )
+        monkeypatch.setattr("repro.engine.sweep.AUTO_SHARD_THRESHOLD", 0)
+        monkeypatch.setattr("repro.engine.sweep.streaming_losses", None)  # streaming would raise
+        for placements in (TootIncidence.from_placements(arrays_backed), dict_backed):
+            availability_curves(placements, failures)
 
 
 # -- new failure models: correlated groups and temporal schedules -----------------
@@ -281,19 +256,9 @@ class TestNewModelSharding:
     def test_every_backend_matches_unsharded(self, corpus, shard_size):
         models = self._models(corpus)
         for label, placements in backends(corpus).items():
-            expected = availability_curves(placements, models, shard_size=0)
-            got = availability_curves(placements, models, shard_size=shard_size)
+            expected = availability_curves(TootIncidence.from_placements(placements), models)
+            got = availability_curves(shard_view(placements, shard_size), models)
             assert got == expected, (label, shard_size)
-
-    @pytest.mark.parametrize("shard_size", (1, PRIME_SHARD))
-    def test_threaded_temporal_matches_serial(self, corpus, shard_size):
-        models = self._models(corpus)
-        placements = backends(corpus)["weighted-random"]
-        serial = availability_curves(placements, models, shard_size=shard_size)
-        threaded = availability_curves(
-            placements, models, shard_size=shard_size, workers=3
-        )
-        assert threaded == serial
 
     def test_temporal_loss_table_matches_monolithic(self, corpus):
         """streaming_losses over tick columns == the monolithic batch, bit for bit."""
@@ -351,3 +316,19 @@ class TestStreamingLosses:
         assert np.array_equal(
             sharded.as_assignment(asn_of), incidence.as_assignment(asn_of)
         )
+
+
+# -- annotations resolve ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "function",
+    [ShardedIncidence.__init__, ShardedIncidence.from_arrays,
+     availability_curves, streaming_losses],
+)
+def test_type_hints_resolve(function):
+    # supply the names imported only for type checkers; any other miss is a NameError
+    typing.get_type_hints(
+        function,
+        localns={"PlacementArrays": PlacementArrays, "AvailabilityPoint": AvailabilityPoint},
+    )

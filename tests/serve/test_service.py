@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.replication import PlacementMap
 from repro.engine.incidence import TootIncidence
 from repro.engine.kernels import availability_from_losses, losses_per_step_batch
+from repro.engine.sharding import ShardedIncidence
 from repro.engine.sweep import StrategySpec, availability_curves
 from repro.errors import AnalysisError
 from repro.serve import AvailabilityService, parse_strategy
@@ -25,12 +25,15 @@ from tests.serve.conftest import CORPUS_SHARD_TOOTS
 STRATEGIES = ["no-rep", "s-rep", "n=2"]
 
 
-def batch_curve(service, strategy, failure_name, shard_size):
+def batch_curve(service, strategy, failure_name, shard_size=None):
     """The batch sweep's curve over the service's own placement arrays."""
     state = service.state_for(strategy)
     failure = service.failure(failure_name)
-    placements = PlacementMap(strategy=state.arrays.strategy, arrays=state.arrays)
-    points = availability_curves(placements, [failure], shard_size=shard_size)
+    if shard_size is None:
+        target = TootIncidence.from_arrays(state.arrays)
+    else:
+        target = ShardedIncidence.from_arrays(state.arrays, shard_size)
+    points = availability_curves(target, [failure])
     return np.asarray([p.availability for p in points[failure.name]])
 
 
@@ -39,7 +42,7 @@ class TestFullCorpusIdentity:
     def test_monolithic(self, service, strategy):
         for failure_name in service.failures():
             served = service.curve(strategy, failure_name)
-            batch = batch_curve(service, strategy, failure_name, shard_size=0)
+            batch = batch_curve(service, strategy, failure_name)
             assert served.shape == batch.shape
             assert (served == batch).all(), (strategy, failure_name)
 

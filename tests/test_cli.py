@@ -60,17 +60,13 @@ class TestParser:
         assert args.run_all is False
         assert args.json_dir is None
         assert args.preset == "tiny"
-        assert args.shard_size is None
-        assert args.workers is None
 
-    def test_run_accepts_scale_knobs(self):
-        args = build_parser().parse_args(
-            ["run", "fig15", "fig16", "--preset", "large",
-             "--shard-size", "100000", "--workers", "4"]
-        )
-        assert args.preset == "large"
-        assert args.shard_size == 100_000
-        assert args.workers == 4
+    @pytest.mark.parametrize(
+        "argv", ["run fig15 --shard-size 13", "run fig15 --workers 2", "serve c/ --workers 2"]
+    )
+    def test_sweep_evaluation_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv.split())
 
     def test_run_accepts_churn_knobs(self):
         args = build_parser().parse_args(
@@ -176,18 +172,6 @@ class TestRunCommand:
         # the context-level counters prove the pipeline was built once
         assert "build_scenario ×1" in output
         assert "collect_datasets ×1" in output
-
-    def test_run_forwards_shard_knobs_into_metadata(self, tmp_path, capsys):
-        out_dir = tmp_path / "sharded"
-        assert (
-            main(["run", "fig15", "--preset", "tiny", "--seed", "7",
-                  "--shard-size", "13", "--workers", "2", "--json", str(out_dir)])
-            == 0
-        )
-        capsys.readouterr()
-        payload = json.loads((out_dir / "fig15.json").read_text())
-        assert payload["metadata"]["shard_size"] == 13
-        assert payload["metadata"]["workers"] == 2
 
     def test_run_forwards_churn_knobs_into_metadata(self, tmp_path, capsys):
         out_dir = tmp_path / "churned"
