@@ -59,7 +59,7 @@ def ctx(network, data) -> ExperimentContext:
     """
     return ExperimentContext.from_datasets(
         data,
-        network=network,
+        scenario=network,
         preset="small",
         seed=BENCH_SEED,
         monitor_interval_minutes=2 * 60,

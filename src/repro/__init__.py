@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro._lazy import attach
 from repro.errors import ReproError
@@ -63,7 +63,14 @@ __getattr__, __dir__, _exports = attach(
 )
 
 __all__ = sorted(
-    ["CollectedDatasets", "ReproError", "__version__", "collect_datasets", *_exports]
+    [
+        "CollectedDatasets",
+        "ReproError",
+        "__version__",
+        "check_store_domains",
+        "collect_datasets",
+        *_exports,
+    ]
 )
 
 
@@ -74,10 +81,12 @@ class CollectedDatasets:
     instances: InstancesDataset
     toots: TootsDataset
     graphs: GraphDataset
-    network: FediverseNetwork
+    #: The object network the crawl ran against; ``None`` when the
+    #: datasets came straight from a columnar scenario's columns.
+    network: "FediverseNetwork | None" = None
     #: The columnar corpus behind ``toots`` when the crawl streamed to
-    #: disk (``collect_datasets(..., corpus_dir=...)``); ``None`` on the
-    #: in-memory record path.
+    #: disk (``collect_datasets(..., corpus_dir=...)``, and every
+    #: columnar build); ``None`` on the in-memory record path.
     corpus: "CorpusStore | None" = None
     #: The on-disk edge-shard store behind ``graphs`` when the follower
     #: crawl streamed to disk (``collect_datasets(..., graph_dir=...)``);
@@ -86,10 +95,34 @@ class CollectedDatasets:
     #: Fetched-versus-attempted accounting of the toot crawl
     #: (:meth:`CrawlCoverage.as_dict
     #: <repro.crawler.toot_crawler.CrawlCoverage.as_dict>`); ``None``
-    #: only when an existing corpus without coverage was reused.
+    #: when no crawl ran (stores streamed from the columns, or an
+    #: existing corpus without coverage was reused).
     coverage: "dict | None" = None
     #: The follower crawl's coverage accounting, same shape.
     graph_coverage: "dict | None" = None
+
+
+def check_store_domains(store: "CorpusStore | GraphStore", domains: Iterable[str]) -> None:
+    """Refuse a reused store that was crawled from a different scenario.
+
+    Every instance the store holds data for must be one of ``domains``;
+    otherwise a :class:`~repro.errors.DatasetError` names the store and
+    one foreign domain.
+    """
+    from repro.corpus import CorpusStore
+    from repro.errors import DatasetError
+
+    if isinstance(store, CorpusStore):
+        kind, flag, crawled = "corpus", "--corpus", store.observations
+    else:
+        kind, flag, crawled = "graph store", "--graph", store.edges_collected
+    unknown = set(crawled) - set(domains)
+    if unknown:
+        raise DatasetError(
+            f"the {kind} at {store.path} was crawled from a different "
+            f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
+            f"{sorted(unknown)[0]!r}); point {flag} at a fresh directory"
+        )
 
 
 def collect_datasets(
@@ -107,12 +140,20 @@ def collect_datasets(
     resume: bool = False,
     politeness_delay: float = 0.0,
 ) -> CollectedDatasets:
-    """Run the full measurement pipeline against a simulated fediverse.
+    """Run the full simulated crawl against an object fediverse.
 
     This is the one-call equivalent of the paper's data collection: poll
     every instance's API across the observation window, crawl every
     federated timeline, scrape every follower list, and assemble the
-    datasets the analyses consume.
+    datasets the analyses consume — all through the simulated HTTP
+    transport.  It is the crawl/chaos path: ``collect`` without
+    ``--columnar``, ``export`` and any ``run`` with a resilience flag
+    (``--fault-rate``/``--retries``/``--retry-delay``) go through it,
+    and it is the in-repo reference the columnar data plane is checked
+    against.  Fault-free experiment runs skip it: they
+    build the same datasets from a
+    :class:`~repro.fediverse.columnar.ColumnarScenario`'s columns
+    (:class:`~repro.experiments.context.ExperimentContext`).
 
     ``monitor_interval_minutes`` defaults to daily probes (the paper used
     five minutes over fifteen months; the analyses only need the relative
@@ -179,7 +220,12 @@ def collect_datasets(
         transport = ResilientTransport(transport, policy=policy, breaker=breaker)
     monitor = InstanceMonitor(transport, network.domains(), monitor_interval_minutes)
     log = monitor.run()
-    instances = InstancesDataset.build(network, log)
+    instances = InstancesDataset.build(
+        log,
+        descriptors=[instance.descriptor for instance in network.instances()],
+        geo=network.geo,
+        certificates=network.certificates,
+    )
 
     toot_crawler = TootCrawler(
         transport, threads=crawl_threads, politeness_delay=politeness_delay
@@ -195,15 +241,7 @@ def collect_datasets(
 
         if (Path(corpus_dir) / "manifest.json").exists():
             corpus = CorpusStore(corpus_dir)
-            unknown = set(corpus.observations) - set(network.domains())
-            if unknown:
-                from repro.errors import DatasetError
-
-                raise DatasetError(
-                    f"the corpus at {corpus_dir} was crawled from a different "
-                    f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
-                    f"{sorted(unknown)[0]!r}); point --corpus at a fresh directory"
-                )
+            check_store_domains(corpus, network.domains())
             coverage = corpus.coverage
         else:
             writer = CorpusWriter(
@@ -230,15 +268,7 @@ def collect_datasets(
 
         if (Path(graph_dir) / "manifest.json").exists():
             graph_store = GraphStore(graph_dir)
-            unknown = set(graph_store.edges_collected) - set(network.domains())
-            if unknown:
-                from repro.errors import DatasetError
-
-                raise DatasetError(
-                    f"the graph store at {graph_dir} was crawled from a different "
-                    f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
-                    f"{sorted(unknown)[0]!r}); point --graph at a fresh directory"
-                )
+            check_store_domains(graph_store, network.domains())
             graph_coverage = graph_store.coverage
         else:
             writer = GraphWriter(

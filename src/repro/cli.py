@@ -16,19 +16,21 @@ The CLI is a thin wrapper over the public API: ``run`` dispatches
 through :func:`repro.experiments.run_experiments` (one shared, memoised
 pipeline for any subset of the paper's experiments), ``report`` is a
 view over the same runners' headline scalars, and anything printed here
-can also be produced programmatically.  ``collect --corpus`` and ``run
---corpus`` stream the toot crawl into the columnar corpus store
-(:mod:`repro.corpus`): same curves bit for bit, O(shard) instead of
-O(corpus) Python objects.  ``--graph`` gives the follower crawl the
-same treatment (on-disk edge shards), and ``collect --columnar``
-generates the scenario as numpy columns and streams them straight to
-disk — the only route to the 10M-toot ``xlarge`` preset.
+can also be produced programmatically.  ``collect --corpus`` streams
+the toot crawl into the columnar corpus store (:mod:`repro.corpus`),
+``--graph`` the follower crawl into on-disk edge shards, and ``collect
+--columnar`` generates the scenario as numpy columns and streams them
+straight to disk — the only route to the 10M-toot ``xlarge`` preset.
+``run`` reads toots and graph from such stores (``--corpus``/``--graph``)
+or writes temporary ones from the columns: a fault-free run never
+builds the object network or crawls it.
 
 Resilience: ``--retries`` routes every crawl request through retrying
 transports with per-instance circuit breakers, ``--fault-rate`` injects
 seeded chaos to exercise them, and ``collect --resume`` reopens an
 interrupted crawl from its journal — sealed instances are never
-re-crawled.
+re-crawled.  On ``run``, either flag switches to the simulated crawl
+over the object network.
 
 Observability (``collect``/``run``/``serve``): ``--trace PATH`` records
 spans across the whole command (``--trace-format chrome`` writes a
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Sequence
@@ -320,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         dest="corpus_dir",
         help=(
-            "stream the toot crawl into a columnar corpus and build placements "
-            "from its columns (bit-identical curves, O(shard) memory); with no "
-            "DIR the corpus lives in a temporary directory for the run"
+            "read toots from the columnar corpus at DIR (e.g. from 'collect "
+            "--corpus'), or write the corpus there first if DIR holds none; "
+            "without DIR, or without the flag, the run writes its corpus to "
+            "a temporary directory and removes it afterwards"
         ),
     )
     run.add_argument(
@@ -333,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         dest="graph_dir",
         help=(
-            "stream the follower crawl into an on-disk edge-shard store and "
-            "read subscription follower sets from it (no networkx on the "
-            "placement path); with no DIR the store lives in a temporary "
-            "directory for the run"
+            "read the follower graph from the edge-shard store at DIR (e.g. "
+            "from 'collect --graph'), or write the store there first if DIR "
+            "holds none; without DIR, or without the flag, the run uses a "
+            "temporary store"
         ),
     )
     run.add_argument(
@@ -439,12 +441,14 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    from repro.experiments import ExperimentContext, run_experiments
+    from repro.experiments import run_experiments
 
-    ctx = ExperimentContext(
-        preset=args.preset, seed=args.seed, monitor_interval_minutes=args.monitor_interval
+    results = run_experiments(
+        REPORT_EXPERIMENTS,
+        preset=args.preset,
+        seed=args.seed,
+        monitor_interval_minutes=args.monitor_interval,
     )
-    results = run_experiments(REPORT_EXPERIMENTS, ctx=ctx)
     headline = results["headline"]
     hosting_result = results["fig5"]
     downtime = results["fig7"]
@@ -498,25 +502,13 @@ def _command_export(args: argparse.Namespace) -> int:
 
 def _collect_columnar(args: argparse.Namespace) -> "tuple[object, object | None]":
     """Scenario → corpus (→ graph) without materialising the object network."""
-    from repro.corpus import (
-        DEFAULT_CORPUS_SHARD_SIZE,
-        CorpusWriter,
-        GraphWriter,
-    )
     from repro.fediverse import build_columnar_scenario
 
     scenario = build_columnar_scenario(args.preset, seed=args.seed)
-    minute = scenario.config.window_minutes - 1
-    writer = CorpusWriter(
-        args.corpus_dir, shard_size=args.shard_toots or DEFAULT_CORPUS_SHARD_SIZE
-    )
-    scenario.write_corpus(writer, at_minute=minute)
-    store = writer.finalise(crawl_minute=minute)
+    store = scenario.save_corpus(args.corpus_dir, args.shard_toots)
     graph_store = None
     if args.graph_dir is not None:
-        graph_writer = GraphWriter(args.graph_dir)
-        scenario.write_graph(graph_writer, at_minute=minute)
-        graph_store = graph_writer.finalise(crawl_minute=minute)
+        graph_store = scenario.save_graph(args.graph_dir)
     return store, graph_store
 
 
@@ -661,19 +653,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    corpus_dir = args.corpus_dir
-    scratch_corpus = None
-    if corpus_dir == "":
-        scratch_corpus = tempfile.TemporaryDirectory(prefix="repro-corpus-")
-        corpus_dir = scratch_corpus.name
-        print(f"streaming the crawl to a temporary corpus at {corpus_dir}/")
-    graph_dir = args.graph_dir
-    scratch_graph = None
-    if graph_dir == "":
-        scratch_graph = tempfile.TemporaryDirectory(prefix="repro-graph-")
-        graph_dir = scratch_graph.name
-        print(f"streaming the follower crawl to a temporary graph store at {graph_dir}/")
-
     churn_kwargs: dict[str, object] = {}
     if args.churn_ticks is not None:
         churn_kwargs["churn_ticks"] = args.churn_ticks
@@ -683,23 +662,20 @@ def _command_run(args: argparse.Namespace) -> int:
         preset=args.preset,
         seed=args.seed,
         monitor_interval_minutes=args.monitor_interval,
-        corpus_dir=corpus_dir,
-        graph_dir=graph_dir,
+        # a bare --corpus/--graph means what omitting it means
+        corpus_dir=args.corpus_dir or None,
+        graph_dir=args.graph_dir or None,
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         retries=_retry_policy(args),
         **churn_kwargs,
     )
     try:
-        results = run_experiments(ids, ctx=ctx)
+        with ctx:
+            results = run_experiments(ids, ctx=ctx)
     except (AnalysisError, ConfigurationError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if scratch_corpus is not None:
-            scratch_corpus.cleanup()
-        if scratch_graph is not None:
-            scratch_graph.cleanup()
 
     for result in results.values():
         print(result.render_text())

@@ -12,12 +12,16 @@ outage intervals and hosting breakdowns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import DatasetError
 from repro.crawler.monitor import InstanceSnapshot, MonitoringLog
-from repro.fediverse.network import FediverseNetwork
 from repro.simtime import MINUTES_PER_DAY
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fediverse.certificates import CertificateRegistry
+    from repro.fediverse.entities import InstanceDescriptor
+    from repro.fediverse.geo import GeoDatabase
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,23 +91,29 @@ class InstancesDataset:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def build(cls, network: FediverseNetwork, log: MonitoringLog) -> "InstancesDataset":
+    def build(
+        cls,
+        log: MonitoringLog,
+        descriptors: "Iterable[InstanceDescriptor]",
+        geo: "GeoDatabase",
+        certificates: "CertificateRegistry",
+    ) -> "InstancesDataset":
         """Join a monitoring log with hosting/certificate metadata.
 
         This mirrors the paper's pipeline: the API snapshots provide the
-        dynamic counters while Maxmind (here: the scenario's geo database)
-        and crt.sh (here: the certificate registry) provide country, AS
-        and CA information.
+        dynamic counters while Maxmind (here: the scenario's ``geo``
+        database) and crt.sh (here: its ``certificates`` registry)
+        provide country, AS and CA information for each instance
+        descriptor.
         """
         metadata: dict[str, InstanceMetadata] = {}
-        for instance in network.instances():
-            descriptor = instance.descriptor
+        for descriptor in descriptors:
             as_name = ""
-            if descriptor.asn and network.geo.has_autonomous_system(descriptor.asn):
-                as_name = network.geo.autonomous_system(descriptor.asn).name
+            if descriptor.asn and geo.has_autonomous_system(descriptor.asn):
+                as_name = geo.autonomous_system(descriptor.asn).name
             authority = ""
-            if descriptor.domain in network.certificates:
-                authority = network.certificates.authority_of(descriptor.domain)
+            if descriptor.domain in certificates:
+                authority = certificates.authority_of(descriptor.domain)
             policy = descriptor.activity_policy
             metadata[descriptor.domain] = InstanceMetadata(
                 domain=descriptor.domain,

@@ -100,8 +100,9 @@ def run_experiments(
     order).  All ids are validated before anything is built, so a typo
     fails fast instead of after a scenario generation.  Pass ``ctx`` to
     reuse an existing context (e.g. across successive calls); otherwise a
-    fresh one is created from ``preset``/``seed`` and the shared
-    artefacts are built at most once across the whole run.
+    fresh one is created from ``preset``/``seed``, the shared artefacts
+    are built at most once across the whole run, and its temporary
+    stores are removed when it returns.
     """
     if experiment_ids is None:
         ids = list(EXPERIMENTS)
@@ -116,12 +117,13 @@ def run_experiments(
         if experiment_id in seen:
             raise AnalysisError(f"duplicate experiment id: {experiment_id!r}")
         seen.add(experiment_id)
-    if ctx is None:
-        from repro.experiments.context import ExperimentContext
+    if ctx is not None:
+        return {
+            experiment_id: run_experiment(experiment_id, ctx) for experiment_id in ids
+        }
+    from repro.experiments.context import ExperimentContext
 
-        ctx = ExperimentContext(
-            preset=preset, seed=seed, monitor_interval_minutes=monitor_interval_minutes
-        )
-    return {
-        experiment_id: run_experiment(experiment_id, ctx) for experiment_id in ids
-    }
+    with ExperimentContext(
+        preset=preset, seed=seed, monitor_interval_minutes=monitor_interval_minutes
+    ) as own:
+        return run_experiments(ids, ctx=own)

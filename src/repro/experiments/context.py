@@ -1,14 +1,25 @@
 """The shared pipeline behind every experiment: built lazily, built once.
 
 :class:`ExperimentContext` owns the expensive artefacts the paper's
-experiments share — the scenario network, the ``collect_datasets``
-measurement pipeline, the Twitter baselines, instance/AS rankings, the
-standard removal schedules, and the placement maps behind the
-replication sweeps — and memoises each one the first time a runner asks
-for it.  ``run_experiments(["fig1", ..., "table2"])`` therefore builds
-the pipeline exactly once; :attr:`ExperimentContext.counters` records
-how many times each builder actually ran, so callers (and tests) can
-prove it.
+experiments share — the columnar scenario, the three measurement
+datasets, the Twitter baselines, instance/AS rankings, the standard
+removal schedules, and the placement maps behind the replication sweeps
+— and memoises each one the first time a runner asks for it.
+``run_experiments(["fig1", ..., "table2"])`` therefore builds the
+pipeline exactly once; :attr:`ExperimentContext.counters` records how
+many times each expensive build step ran, so callers (and tests) can prove
+it.
+
+A fault-free context builds the datasets from the
+:class:`~repro.fediverse.columnar.ColumnarScenario` alone: the monitor
+log comes from :func:`~repro.crawler.monitor.monitor_scenario`, toots
+and graph from columnar stores — the ``corpus_dir``/``graph_dir``
+given, or stores streamed from the columns into a temporary directory
+that :meth:`ExperimentContext.close` removes.  Only the resilience
+knobs (``fault_rate``, ``retries``) materialise the object network and
+run the simulated crawl (:func:`~repro.collect_datasets`): the chaos
+harness is the one input that needs a transport to fail.  Both paths
+give identical results.
 
 Placement maps are memoised per :class:`~repro.engine.sweep.StrategySpec`
 (the specs are frozen, hashable recipes), which means the engine's weak
@@ -19,11 +30,12 @@ across experiments too: fig15 and fig16 share the same ``no-rep`` and
 
 from __future__ import annotations
 
+import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 
-from repro import CollectedDatasets, RetryPolicy, build_scenario, collect_datasets
+from repro import CollectedDatasets, RetryPolicy, check_store_domains, collect_datasets
 from repro import obs
 from repro.core import resilience
 from repro.errors import AnalysisError
@@ -38,7 +50,11 @@ from repro.engine.failures import (
     TemporalChurn,
 )
 from repro.engine.sweep import StrategySpec, SweepResult, availability_curves
+from repro.fediverse import build_columnar_scenario
 from repro.fediverse.geo import hoster_of_asn
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fediverse import ColumnarScenario, FediverseNetwork
 
 T = TypeVar("T")
 
@@ -83,26 +99,26 @@ class ExperimentContext:
         self.twitter_days = twitter_days
         self.twitter_users = twitter_users
         self.twitter_seed = twitter_seed
-        #: When set, the toot crawl streams into a columnar corpus at
-        #: this directory (:mod:`repro.corpus`) and placement maps build
-        #: straight from its columns — no ``TootRecord`` lists anywhere
-        #: on the fig15/16 path.
+        #: The columnar corpus (:mod:`repro.corpus`) the toots are read
+        #: from: reused when the directory holds a manifest, otherwise
+        #: written there.  ``None`` keeps the corpus in a temporary
+        #: directory for the context's lifetime.
         self.corpus_dir = corpus_dir
         self.corpus_shard_size = corpus_shard_size
-        #: When set, the follower crawl streams into an on-disk edge
-        #: store (:mod:`repro.corpus.graph`) and subscription placements
-        #: read follower-domain sets from its integer shards — no
-        #: networkx pass on the placement path.
+        #: The on-disk follower-graph store (:mod:`repro.corpus.graph`),
+        #: with the same reuse/write/temporary rule.
         self.graph_dir = graph_dir
         self.graph_shard_size = graph_shard_size
         #: Temporal-churn sweep shape: probe ticks across the window and
         #: one sampled outage process per bootstrap seed.
         self.churn_ticks = churn_ticks
         self.churn_seeds = tuple(churn_seeds)
-        #: Resilience knobs forwarded to ``collect_datasets``: a seeded
-        #: chaos layer over the transport (``fault_rate``/``fault_seed``)
-        #: and a retry budget (``retries`` = max attempts per request,
-        #: or a full :class:`~repro.crawler.resilient.RetryPolicy`).
+        #: Resilience knobs: a seeded chaos layer over the transport
+        #: (``fault_rate``/``fault_seed``) and a retry budget (``retries``
+        #: = max attempts per request, or a full
+        #: :class:`~repro.crawler.resilient.RetryPolicy`).  Setting
+        #: either runs the simulated crawl (``collect_datasets``) over
+        #: the materialised object network.
         self.fault_rate = fault_rate
         self.fault_seed = fault_seed
         self.retries = retries
@@ -118,7 +134,8 @@ class ExperimentContext:
         #: (scenario, collect, twitter, placement, sweep) — the profile
         #: behind ``--trace`` and the ``phase_*_seconds`` metadata.
         self.phase_seconds: dict[str, float] = {}
-        self._network = None
+        self._scenario: "ColumnarScenario | FediverseNetwork | None" = None
+        self._tempdir: tempfile.TemporaryDirectory | None = None
         self._data: CollectedDatasets | None = None
         self._twitter: TwitterBaselines | None = None
         self._memo: dict[object, object] = {}
@@ -136,7 +153,7 @@ class ExperimentContext:
         cls,
         data: CollectedDatasets,
         *,
-        network=None,
+        scenario: "ColumnarScenario | FediverseNetwork | None" = None,
         twitter: TwitterBaselines | None = None,
         preset: str = "custom",
         seed: int | None = None,
@@ -145,19 +162,40 @@ class ExperimentContext:
         """Wrap pre-built artefacts (e.g. pytest session fixtures).
 
         The provided objects seed the caches directly, so the counters
-        stay at zero: nothing was built *by* this context.  Pass the
-        ``monitor_interval_minutes`` the datasets were actually collected
-        with — it is recorded in every result's run metadata.
+        stay at zero: nothing was built *by* this context.  ``scenario``
+        supplies the clock, certificates, availability schedule and geo
+        database the runners read; it defaults to the network the
+        datasets were crawled from, which carries the same four.  Pass
+        the ``monitor_interval_minutes`` the datasets were actually
+        collected with — it is recorded in every result's run metadata.
         """
         ctx = cls(
             preset=preset,
             seed=-1 if seed is None else seed,
             monitor_interval_minutes=monitor_interval_minutes,
         )
-        ctx._network = network if network is not None else data.network
+        ctx._scenario = scenario if scenario is not None else data.network
         ctx._data = data
         ctx._twitter = twitter
         return ctx
+
+    # -- lifetime ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Remove the temporary stores this context wrote, if any.
+
+        Call it once the results are out: data read lazily from those
+        stores is gone afterwards.  Contexts are context managers too.
+        """
+        if self._tempdir is not None:
+            self._tempdir.cleanup()
+            self._tempdir = None
+
+    def __enter__(self) -> "ExperimentContext":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- the three pipeline roots --------------------------------------------
 
@@ -172,40 +210,102 @@ class ExperimentContext:
         return result
 
     @property
-    def network(self):
-        """The scenario fediverse (built on first access)."""
-        if self._network is None:
-            self._network = self._phase(
+    def scenario(self) -> "ColumnarScenario | FediverseNetwork":
+        """The generated world, drawn once on first access.
+
+        Runners read its ``clock``, ``certificates``, ``availability``
+        and ``geo``.  A context wrapping pre-built datasets holds the
+        network they were crawled from instead, which has the same four.
+        """
+        if self._scenario is None:
+            self._scenario = self._phase(
                 "scenario",
-                lambda: build_scenario(self.preset, seed=self.seed),
+                lambda: build_columnar_scenario(self.preset, seed=self.seed),
                 preset=self.preset,
                 seed=self.seed,
             )
             self.counters["build_scenario"] += 1
-        return self._network
+        return self._scenario
 
     @property
     def data(self) -> CollectedDatasets:
-        """The full measurement pipeline output (built on first access)."""
+        """The three measurement datasets (built on first access)."""
         if self._data is None:
-            network = self.network  # build the scenario in its own phase
+            scenario = self.scenario  # draw the scenario in its own phase
+            chaos = self.fault_rate is not None or self.retries is not None
+            build = self._crawl if chaos else self._from_columns
             self._data = self._phase(
-                "collect",
-                lambda: collect_datasets(
-                    network,
-                    monitor_interval_minutes=self.monitor_interval_minutes,
-                    corpus_dir=self.corpus_dir,
-                    corpus_shard_size=self.corpus_shard_size,
-                    graph_dir=self.graph_dir,
-                    graph_shard_size=self.graph_shard_size,
-                    fault_rates=self.fault_rate,
-                    fault_seed=self.fault_seed,
-                    retry_policy=self.retries,
-                ),
-                preset=self.preset,
+                "collect", lambda: build(scenario), preset=self.preset
             )
             self.counters["collect_datasets"] += 1
         return self._data
+
+    def _crawl(self, scenario: "ColumnarScenario") -> CollectedDatasets:
+        """The simulated crawl through the chaos/retry transports."""
+        return collect_datasets(
+            scenario.to_network(),
+            monitor_interval_minutes=self.monitor_interval_minutes,
+            corpus_dir=self.corpus_dir,
+            corpus_shard_size=self.corpus_shard_size,
+            graph_dir=self.graph_dir,
+            graph_shard_size=self.graph_shard_size,
+            fault_rates=self.fault_rate,
+            fault_seed=self.fault_seed,
+            retry_policy=self.retries,
+        )
+
+    def _from_columns(self, scenario: "ColumnarScenario") -> CollectedDatasets:
+        """Monitor log from the columns; toots and graph from columnar stores."""
+        from repro.corpus import CorpusStore, GraphStore
+        from repro.crawler.monitor import monitor_scenario
+        from repro.datasets import GraphDataset, InstancesDataset, TootsDataset
+
+        log = monitor_scenario(scenario, self.monitor_interval_minutes)
+        instances = InstancesDataset.build(
+            log,
+            descriptors=scenario.descriptors,
+            geo=scenario.geo,
+            certificates=scenario.certificates,
+        )
+        corpus = self._open_or_write(
+            self.corpus_dir,
+            "corpus",
+            CorpusStore,
+            lambda path: scenario.save_corpus(path, self.corpus_shard_size),
+        )
+        graph_store = self._open_or_write(
+            self.graph_dir,
+            "graph",
+            GraphStore,
+            lambda path: scenario.save_graph(path, self.graph_shard_size),
+        )
+        return CollectedDatasets(
+            instances=instances,
+            toots=TootsDataset.from_corpus(corpus),
+            graphs=GraphDataset.from_edges(graph_store.iter_edge_handles()),
+            corpus=corpus,
+            graph_store=graph_store,
+            coverage=corpus.coverage,
+            graph_coverage=graph_store.coverage,
+        )
+
+    def _open_or_write(
+        self,
+        directory: "str | Path | None",
+        name: str,
+        opener: Callable[[Path], T],
+        write: Callable[[Path], T],
+    ) -> T:
+        """Open the store at ``directory``, or write it there (a temp dir for None)."""
+        if directory is None:
+            if self._tempdir is None:
+                self._tempdir = tempfile.TemporaryDirectory(prefix="repro-run-")
+            return write(Path(self._tempdir.name) / name)
+        if (Path(directory) / "manifest.json").exists():
+            store = opener(Path(directory))
+            check_store_domains(store, self.scenario.domains())
+            return store
+        return write(Path(directory))
 
     @property
     def twitter(self) -> TwitterBaselines:
@@ -380,7 +480,7 @@ class ExperimentContext:
         """Temporal churn: one sampled outage process per bootstrap seed.
 
         Each model resamples the scenario's ground-truth outage
-        distributions (:attr:`network.availability <repro.fediverse.network>`,
+        distributions (:attr:`scenario.availability <scenario>`,
         Figs. 7-10) and probes availability at ``churn_ticks`` instants
         across the observation window — instances go down *and come back*.
         """
@@ -388,7 +488,7 @@ class ExperimentContext:
             "churn_failures",
             lambda: [
                 TemporalChurn.from_schedule(
-                    self.network.availability,
+                    self.scenario.availability,
                     self.domains,
                     steps=self.churn_ticks,
                     seed=seed,
@@ -403,12 +503,13 @@ class ExperimentContext:
     def placements_for(self, spec: StrategySpec) -> PlacementMap:
         """The placement map for ``spec``, built once per distinct spec.
 
-        When the pipeline streamed to a columnar corpus, maps build
-        straight from the corpus columns (:meth:`StrategySpec.build_from_corpus`)
-        — bit-identical placements, no record materialisation.  When the
-        follower crawl streamed to an on-disk graph store too, the
-        subscription strategy reads follower-domain sets from its edge
-        shards instead of walking the networkx graph.
+        Whenever the datasets sit on a columnar corpus (every fault-free
+        run, and a crawl into ``corpus_dir``), maps build straight from
+        the corpus columns (:meth:`StrategySpec.build_from_corpus`) —
+        bit-identical placements, no record materialisation.  With an
+        on-disk graph store too, the subscription strategy reads
+        follower-domain sets from its edge shards instead of walking the
+        networkx graph.
         """
         if spec not in self._placements:
             data = self.data  # collect in its own phase, not under placement

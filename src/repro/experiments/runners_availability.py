@@ -127,10 +127,10 @@ def run_fig9(ctx: ExperimentContext) -> ExperimentResult:
     from repro.core import availability
 
     footprint = availability.certificate_footprint(ctx.data.instances)
-    window_days = ctx.network.clock.window_days
-    expiry_series = availability.certificate_expiry_outages(ctx.network.certificates, window_days)
+    window_days = ctx.scenario.clock.window_days
+    expiry_series = availability.certificate_expiry_outages(ctx.scenario.certificates, window_days)
     outage_share = availability.certificate_outage_share(
-        ctx.data.instances, ctx.network.certificates
+        ctx.data.instances, ctx.scenario.certificates
     )
     worst_day = max(expiry_series, key=lambda day: expiry_series[day])
     busy_days = [(day, count) for day, count in expiry_series.items() if count > 0]
@@ -212,7 +212,7 @@ def run_table1(ctx: ExperimentContext) -> ExperimentResult:
     from repro.core import availability
 
     reports = availability.detect_as_failures(
-        ctx.data.instances, geo=ctx.network.geo, min_instances=TABLE1_MIN_INSTANCES
+        ctx.data.instances, geo=ctx.scenario.geo, min_instances=TABLE1_MIN_INSTANCES
     )
     return ExperimentResult.build(
         "table1",

@@ -14,11 +14,15 @@ crawl of every online instance into a
 :class:`~repro.corpus.writer.CorpusWriter` (never holding more than one
 instance's render chunk), and :meth:`ColumnarScenario.write_graph`
 streams the follower crawl into a
-:class:`~repro.corpus.graph.GraphWriter`.
-:meth:`ColumnarScenario.to_network` replays the *same* columns into a
-real :class:`FediverseNetwork` for the crawlers and the monitor, so the
-streamed corpus/graph are identical to what the real crawlers collect
-from that view.
+:class:`~repro.corpus.graph.GraphWriter`;
+:meth:`ColumnarScenario.save_corpus` / :meth:`ColumnarScenario.save_graph`
+wrap them into fresh on-disk stores.  Together with
+:func:`~repro.crawler.monitor.monitor_scenario` (the instance monitor
+over the same columns) they are the data plane of every fault-free
+experiment run.  :meth:`ColumnarScenario.to_network` replays the *same*
+columns into a real :class:`FediverseNetwork` for the simulated crawl
+and the chaos harness, so the streamed stores are identical to what the
+real crawlers collect from that view.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.fediverse.certificates import CertificateRegistry
 from repro.fediverse.entities import InstanceDescriptor, UserRef, Visibility
+from repro.fediverse.geo import GeoDatabase
 from repro.fediverse.network import FediverseNetwork
 from repro.fediverse.presets import ScenarioConfig
 from repro.fediverse.timeline import DEFAULT_PAGE_SIZE, ColumnarTimeline
@@ -38,7 +43,10 @@ from repro.fediverse.uptime import AvailabilitySchedule
 from repro.simtime import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.corpus.graph import GraphWriter
+    from pathlib import Path
+
+    from repro.corpus.graph import GraphStore, GraphWriter
+    from repro.corpus.store import CorpusStore
     from repro.corpus.writer import CorpusWriter
 
 #: Rows rendered per ``write_corpus`` chunk: bounds the per-chunk string
@@ -61,6 +69,9 @@ class ColumnarScenario:
     descriptors: list[InstanceDescriptor]
     availability: AvailabilitySchedule
     certificates: CertificateRegistry
+    #: Every instance IP registered the way
+    #: :meth:`FediverseNetwork.add_instance` registers it.
+    geo: GeoDatabase
     user_instance: np.ndarray
     user_created: np.ndarray
     follow_src: np.ndarray
@@ -301,7 +312,12 @@ class ColumnarScenario:
 
     # -- gating (which instances a crawl can see) --------------------------------
 
-    def _crawlable(self, descriptor: InstanceDescriptor, minute: int) -> bool:
+    @property
+    def crawl_minute(self) -> int:
+        """The minute the stores are crawled at: the window's last."""
+        return self.config.window_minutes - 1
+
+    def reachable(self, descriptor: InstanceDescriptor, minute: int) -> bool:
         """Whether a crawler reaches ``descriptor`` at ``minute`` at all."""
         if descriptor.created_at > minute:
             return False
@@ -326,12 +342,12 @@ class ColumnarScenario:
         memory is one instance's row indices plus one chunk of strings.
         Returns rows written per instance; the caller finalises.
         """
-        minute = self.config.window_minutes - 1 if at_minute is None else at_minute
+        minute = self.crawl_minute if at_minute is None else at_minute
         handles, user_domains = self._user_handle_tables()
         tag_names = self._tag_names()
         written: dict[str, int] = {}
         for descriptor in sorted(self.descriptors, key=lambda d: d.domain):
-            if not self._crawlable(descriptor, minute):
+            if not self.reachable(descriptor, minute):
                 continue
             if descriptor.crawl_blocked:
                 continue
@@ -383,7 +399,7 @@ class ColumnarScenario:
         usernames as strings — each contributing its follower list sorted
         by ``(username, domain)``.  Returns edges written per instance.
         """
-        minute = self.config.window_minutes - 1 if at_minute is None else at_minute
+        minute = self.crawl_minute if at_minute is None else at_minute
         handles, _ = self._user_handle_tables()
         toot_counts = self.toot_counts_per_user()
         seg = self._user_segments()
@@ -404,7 +420,7 @@ class ColumnarScenario:
 
         written: dict[str, int] = {}
         for descriptor in sorted(self.descriptors, key=lambda d: d.domain):
-            if not self._crawlable(descriptor, minute):
+            if not self.reachable(descriptor, minute):
                 continue
             domain = descriptor.domain
             index = self._domain_index()[domain]
@@ -428,6 +444,24 @@ class ColumnarScenario:
             written[domain] = added
         return written
 
+    # -- streaming into fresh stores -----------------------------------------------
+
+    def save_corpus(self, path: "str | Path", shard_size: int | None = None) -> "CorpusStore":
+        """Stream the toot crawl into a new corpus at ``path`` and open it."""
+        from repro.corpus.writer import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter
+
+        writer = CorpusWriter(path, shard_size=shard_size or DEFAULT_CORPUS_SHARD_SIZE)
+        self.write_corpus(writer, at_minute=self.crawl_minute)
+        return writer.finalise(crawl_minute=self.crawl_minute)
+
+    def save_graph(self, path: "str | Path", shard_size: int | None = None) -> "GraphStore":
+        """Stream the follower crawl into a new graph store at ``path`` and open it."""
+        from repro.corpus.graph import DEFAULT_GRAPH_SHARD_SIZE, GraphWriter
+
+        writer = GraphWriter(path, shard_size=shard_size or DEFAULT_GRAPH_SHARD_SIZE)
+        self.write_graph(writer, at_minute=self.crawl_minute)
+        return writer.finalise(crawl_minute=self.crawl_minute)
+
     # -- differential materialisation ---------------------------------------------
 
     def to_network(self) -> FediverseNetwork:
@@ -435,15 +469,18 @@ class ColumnarScenario:
 
         Every user, follow, toot, boost and login replays through the
         network in column order, with the scenario's availability
-        schedule and certificate registry shared, so real crawlers over
-        the result observe exactly what :meth:`write_corpus` /
-        :meth:`write_graph` stream.  This is the object view that
-        :func:`~repro.fediverse.workload.build_scenario` returns for the
-        in-memory crawl and the monitor.  It holds every toot as an
-        object, so store pipelines stream from the columns instead.
+        schedule, certificate registry and geo database shared, so real
+        crawlers over the result observe exactly what :meth:`write_corpus`
+        / :meth:`write_graph` stream and what
+        :func:`~repro.crawler.monitor.monitor_scenario` derives.  This is
+        the object view :func:`~repro.fediverse.workload.build_scenario`
+        returns: ``collect``, ``export`` and the chaos path of ``run``
+        crawl it.  It holds every toot as an object, so fault-free
+        experiment runs read the columns instead.
         """
         network = FediverseNetwork(
             clock=self.clock,
+            geo=self.geo,
             certificates=self.certificates,
             availability=self.availability,
         )

@@ -10,9 +10,12 @@ by the scenario generator and answers Maxmind-style lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import ConfigurationError, DatasetError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fediverse.entities import InstanceDescriptor
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,6 +184,21 @@ class GeoDatabase:
         record = GeoRecord(ip_address=ip_address, country=country, asn=asn, as_name=asys.name)
         self._records[ip_address] = record
         return record
+
+    def register_host(self, descriptor: "InstanceDescriptor") -> None:
+        """Register an instance's IP if its hosting AS is known.
+
+        Instances without an IP, or on an AS this database does not
+        know, stay unresolvable; an IP already registered keeps its
+        first record.
+        """
+        if (
+            descriptor.ip_address
+            and descriptor.asn
+            and self.has_autonomous_system(descriptor.asn)
+            and descriptor.ip_address not in self
+        ):
+            self.register(descriptor.ip_address, descriptor.country, descriptor.asn)
 
     def lookup(self, ip_address: str) -> GeoRecord:
         """Return the :class:`GeoRecord` for ``ip_address``."""

@@ -62,9 +62,7 @@ class FediverseNetwork:
             raise SimulationError(f"instance already exists: {descriptor.domain!r}")
         server = InstanceServer(descriptor)
         self._instances[descriptor.domain] = server
-        if descriptor.ip_address and descriptor.asn and self.geo.has_autonomous_system(descriptor.asn):
-            if descriptor.ip_address not in self.geo:
-                self.geo.register(descriptor.ip_address, descriptor.country, descriptor.asn)
+        self.geo.register_host(descriptor)
         return server
 
     def get_instance(self, domain: str) -> InstanceServer:

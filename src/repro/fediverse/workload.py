@@ -36,7 +36,7 @@ from repro.fediverse.entities import (
     RegistrationPolicy,
     Software,
 )
-from repro.fediverse.geo import IPAllocator
+from repro.fediverse.geo import GeoDatabase, IPAllocator
 from repro.fediverse.network import FediverseNetwork
 from repro.fediverse.presets import ScenarioConfig, scenario_config
 from repro.fediverse.uptime import ASOutageEvent, AvailabilitySchedule, Outage, OutageCause
@@ -273,6 +273,9 @@ class ScenarioGenerator:
         self._generate_availability(availability, descriptors)
         certificates = CertificateRegistry()
         self._issue_certificates(certificates, descriptors)
+        geo = GeoDatabase()
+        for descriptor in descriptors:
+            geo.register_host(descriptor)
 
         return ColumnarScenario(
             config=cfg,
@@ -280,6 +283,7 @@ class ScenarioGenerator:
             descriptors=descriptors,
             availability=availability,
             certificates=certificates,
+            geo=geo,
             user_instance=user_instance,
             user_created=user_created,
             follow_src=follow_src,

@@ -185,7 +185,7 @@ class TestContextIntegration:
     ):
         from repro import CollectedDatasets
 
-        record_ctx = ExperimentContext.from_datasets(datasets, network=tiny_network)
+        record_ctx = ExperimentContext.from_datasets(datasets, scenario=tiny_network)
         corpus_data = CollectedDatasets(
             instances=datasets.instances,
             toots=TootsDataset.from_corpus(tiny_store),
@@ -193,7 +193,7 @@ class TestContextIntegration:
             network=tiny_network,
             corpus=tiny_store,
         )
-        corpus_ctx = ExperimentContext.from_datasets(corpus_data, network=tiny_network)
+        corpus_ctx = ExperimentContext.from_datasets(corpus_data, scenario=tiny_network)
 
         specs = [StrategySpec.none(), StrategySpec.subscription(), StrategySpec.random(2, seed=3)]
         failures = record_ctx.standard_failures()

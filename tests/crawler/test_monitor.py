@@ -6,8 +6,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.crawler.http import SimulatedTransport
-from repro.crawler.monitor import InstanceMonitor, InstanceSnapshot, MonitoringLog
-from repro.fediverse import InstanceDescriptor
+from repro.crawler.monitor import (
+    InstanceMonitor,
+    InstanceSnapshot,
+    MonitoringLog,
+    monitor_scenario,
+)
+from repro.fediverse import InstanceDescriptor, build_columnar_scenario
 from repro.fediverse.uptime import Outage
 from repro.simtime import MINUTES_PER_DAY, TimeWindow
 from tests.conftest import build_mini_network, ref
@@ -120,3 +125,54 @@ class TestMonitoringLog:
         assert log.domains() == ["a", "b"]
         assert len(log) == 3
         assert log.probe_minutes() == [5, 10]
+
+
+@pytest.fixture(scope="module")
+def world():
+    """``world(preset, seed)`` -> (columnar scenario, its object network), cached."""
+    cache: dict = {}
+
+    def build(preset: str, seed: int):
+        if (preset, seed) not in cache:
+            scenario = build_columnar_scenario(preset, seed=seed)
+            cache[preset, seed] = (scenario, scenario.to_network())
+        return cache[preset, seed]
+
+    return build
+
+
+def assert_matches_object_monitor(scenario, network, interval: int) -> None:
+    expected = InstanceMonitor(SimulatedTransport(network), network.domains(), interval).run()
+    got = monitor_scenario(scenario, interval)
+    assert got.interval_minutes == interval
+    assert got.snapshots == expected.snapshots
+    # the grid covers every kind of probe answer
+    assert any(not s.exists for s in got)
+    assert any(s.exists and not s.online for s in got)
+    assert any(s.online for s in got)
+
+
+class TestColumnarMonitor:
+    """``monitor_scenario`` is the object monitor over ``to_network()``, exactly."""
+
+    @pytest.mark.parametrize("interval", [1440, 360, 97])
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_tiny_grid(self, world, seed, interval):
+        assert_matches_object_monitor(*world("tiny", seed), interval)
+
+    @pytest.mark.slow
+    def test_small(self):
+        scenario = build_columnar_scenario("small", seed=42)
+        assert_matches_object_monitor(scenario, scenario.to_network(), 1440)
+
+    def test_window_bounds_and_validation(self, world):
+        scenario, network = world("tiny", 7)
+        expected = InstanceMonitor(SimulatedTransport(network), network.domains(), 60).run(
+            start_minute=30, end_minute=30 + MINUTES_PER_DAY
+        )
+        got = monitor_scenario(scenario, 60, start_minute=30, end_minute=30 + MINUTES_PER_DAY)
+        assert got.snapshots == expected.snapshots
+        with pytest.raises(ConfigurationError):
+            monitor_scenario(scenario, 0)
+        with pytest.raises(ConfigurationError):
+            monitor_scenario(scenario, 60, start_minute=100, end_minute=100)

@@ -24,27 +24,33 @@ class TestLaziness:
         assert ctx.counters["twitter_baselines"] == 0
 
     def test_repeated_access_builds_once(self):
-        ctx = ExperimentContext(preset="tiny", seed=3)
-        first = ctx.data
-        second = ctx.data
+        with ExperimentContext(preset="tiny", seed=3) as ctx:
+            first = ctx.data
+            second = ctx.data
         assert first is second
         assert ctx.counters["build_scenario"] == 1
         assert ctx.counters["collect_datasets"] == 1
 
     def test_derived_artefacts_memoise(self):
-        ctx = ExperimentContext(preset="tiny", seed=3)
-        assert ctx.instance_ranking("toots") is ctx.instance_ranking("toots")
-        assert ctx.standard_failures() is ctx.standard_failures()
-        assert ctx.asn_of is ctx.asn_of
+        with ExperimentContext(preset="tiny", seed=3) as ctx:
+            assert ctx.instance_ranking("toots") is ctx.instance_ranking("toots")
+            assert ctx.standard_failures() is ctx.standard_failures()
+            assert ctx.asn_of is ctx.asn_of
 
     def test_placements_memoise_per_spec(self):
-        ctx = ExperimentContext(preset="tiny", seed=3)
-        spec = StrategySpec.none()
-        first = ctx.placements_for(spec)
-        # an equal (not identical) spec hits the same cache entry
-        second = ctx.placements_for(StrategySpec.none())
+        with ExperimentContext(preset="tiny", seed=3) as ctx:
+            spec = StrategySpec.none()
+            first = ctx.placements_for(spec)
+            # an equal (not identical) spec hits the same cache entry
+            second = ctx.placements_for(StrategySpec.none())
         assert first is second
         assert ctx.counters["placements_built"] == 1
+
+    def test_close_removes_the_temporary_stores(self):
+        with ExperimentContext(preset="tiny", seed=3) as ctx:
+            stores = [ctx.data.corpus.path, ctx.data.graph_store.path]
+            assert all((path / "manifest.json").exists() for path in stores)
+        assert not any(path.exists() for path in stores)
 
     def test_sweep_rejects_duplicate_strategy_names(self, datasets):
         ctx = ExperimentContext.from_datasets(datasets, preset="tiny", seed=11)
@@ -65,7 +71,7 @@ class TestFromDatasets:
     def test_wraps_existing_pipeline_without_building(self, datasets):
         ctx = ExperimentContext.from_datasets(datasets, preset="tiny", seed=11)
         assert ctx.data is datasets
-        assert ctx.network is datasets.network
+        assert ctx.scenario is datasets.network
         assert ctx.counters["build_scenario"] == 0
         assert ctx.counters["collect_datasets"] == 0
 
@@ -107,8 +113,8 @@ class TestFullRegistryRun:
 
     @pytest.fixture(scope="class")
     def full_run(self):
-        ctx = ExperimentContext(preset="tiny", seed=7)
-        results = run_experiments(None, ctx=ctx)
+        with ExperimentContext(preset="tiny", seed=7) as ctx:
+            results = run_experiments(None, ctx=ctx)
         return ctx, results
 
     def test_every_registered_experiment_ran(self, full_run):

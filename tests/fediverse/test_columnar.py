@@ -17,6 +17,7 @@ from repro.crawler import SimulatedTransport
 from repro.errors import ConfigurationError
 from repro.fediverse import (
     ColumnarTimeline,
+    FediverseNetwork,
     build_columnar_scenario,
     build_scenario,
     preset_names,
@@ -64,6 +65,20 @@ class TestGoldenStats:
             instance = tiny_network.get_instance(domain)
             assert len(instance.users) == int(users[index]), domain
             assert len(instance.toots) == int(toots[index]), domain
+
+
+    def test_geo_matches_network_registration(self, tiny_columnar):
+        # a fresh network registers hosts through add_instance
+        network = FediverseNetwork(clock=tiny_columnar.clock)
+        for descriptor in tiny_columnar.descriptors:
+            network.add_instance(descriptor)
+        geo = tiny_columnar.geo
+        assert len(geo) == len(network.geo) > 0
+        for descriptor in tiny_columnar.descriptors:
+            ip = descriptor.ip_address
+            assert (ip in geo) == (ip in network.geo)
+            if ip in geo:
+                assert geo.lookup(ip) == network.geo.lookup(ip)
 
 
 class TestColumnShapes:
@@ -124,7 +139,7 @@ class TestMaterialisationIdentity:
         domain = next(
             d.domain
             for d in sorted(tiny_columnar.descriptors, key=lambda d: d.domain)
-            if tiny_columnar._crawlable(d, minute) and not d.crawl_blocked
+            if tiny_columnar.reachable(d, minute) and not d.crawl_blocked
         )
         max_id = None
         pages = 0

@@ -46,7 +46,7 @@ class TestParser:
         args = build_parser().parse_args(["run", "fig15"])
         assert args.graph_dir is None
         args = build_parser().parse_args(["run", "fig15", "--graph"])
-        assert args.graph_dir == ""  # temporary-directory sentinel
+        assert args.graph_dir == ""  # bare flag: same as omitting it
         args = build_parser().parse_args(["run", "fig15", "--graph", "g"])
         assert args.graph_dir == "g"
 
@@ -99,7 +99,7 @@ class TestParser:
         args = build_parser().parse_args(["run", "fig15"])
         assert args.corpus_dir is None
         args = build_parser().parse_args(["run", "fig15", "--corpus"])
-        assert args.corpus_dir == ""  # temporary-directory sentinel
+        assert args.corpus_dir == ""  # bare flag: same as omitting it
         args = build_parser().parse_args(["run", "fig15", "--corpus", "corp"])
         assert args.corpus_dir == "corp"
 
@@ -188,7 +188,7 @@ class TestRunCommand:
         assert payload["scalars"]["churn_ticks"] == 12
 
     def test_collect_then_run_corpus_matches_in_memory_run(self, tmp_path, capsys):
-        """collect --corpus + run --corpus reproduce the record path bit for bit."""
+        """A crawled corpus (collect --corpus) + run --corpus reproduce a plain run."""
         legacy_dir = tmp_path / "legacy"
         corpus_dir = tmp_path / "corp"
         corpus_out = tmp_path / "from-corpus"
@@ -250,7 +250,7 @@ class TestRunCommand:
             assert stored == memory, name
 
     def test_run_graph_store_matches_networkx_run(self, tmp_path, capsys):
-        """run --corpus --graph reproduces the record-path curves bit for bit."""
+        """run --corpus DIR --graph DIR (written on the fly) reproduces a plain run."""
         legacy_dir = tmp_path / "legacy"
         stored_dir = tmp_path / "stored"
         assert main(["run", "fig15", "--preset", "tiny", "--seed", "3",
@@ -282,6 +282,68 @@ class TestRunCommand:
         assert len(result.tables) >= 1
         assert len(result.series) >= 1
         assert 0.0 <= result.scalar("no_rep_top10_instances_by_toots") <= 1.0
+
+
+def load_results(directory, ignored=("elapsed_seconds",)) -> dict[str, dict]:
+    """Every ``<id>.json`` in ``directory``, minus the ``ignored`` metadata keys."""
+    results = {}
+    for path in sorted(directory.glob("*.json")):
+        payload = json.loads(path.read_text())
+        for key in ignored:
+            payload["metadata"].pop(key, None)
+        results[path.name] = payload
+    return results
+
+
+class TestEntryPaths:
+    """Every entry path measures the same world, and fault-free runs never crawl."""
+
+    def test_columnar_run_equals_object_crawl(self, tmp_path, capsys):
+        # --fault-rate 0 takes the chaos path: object network + simulated crawl
+        columnar, crawled = tmp_path / "columnar", tmp_path / "crawled"
+        assert main(["run", "--all", "--preset", "tiny", "--seed", "7",
+                     "--json", str(columnar)]) == 0
+        assert main(["run", "--all", "--preset", "tiny", "--seed", "7",
+                     "--fault-rate", "0", "--json", str(crawled)]) == 0
+        capsys.readouterr()
+        ignored = ("elapsed_seconds", "fault_rate", "fault_seed")
+        expected = load_results(crawled, ignored)
+        assert len(expected) == 21
+        assert load_results(columnar, ignored) == expected
+
+    def test_fault_free_run_never_materialises_or_crawls(self, tmp_path, capsys, monkeypatch):
+        from repro.crawler import InstanceMonitor, TootCrawler
+        from repro.fediverse import ColumnarScenario
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fault-free run path must not crawl")
+
+        monkeypatch.setattr(ColumnarScenario, "to_network", forbidden)
+        monkeypatch.setattr(TootCrawler, "crawl", forbidden)
+        monkeypatch.setattr(InstanceMonitor, "run", forbidden)
+        memory, stored = tmp_path / "memory", tmp_path / "stored"
+        corpus, graph = tmp_path / "corp", tmp_path / "graph"
+        assert main(["run", "fig1", "fig15", "--preset", "tiny", "--seed", "7",
+                     "--json", str(memory)]) == 0
+        assert main(["collect", "--columnar", "--corpus", str(corpus),
+                     "--graph", str(graph), "--preset", "tiny", "--seed", "7"]) == 0
+        assert main(["run", "fig1", "fig15", "--preset", "tiny", "--seed", "7",
+                     "--corpus", str(corpus), "--graph", str(graph),
+                     "--json", str(stored)]) == 0
+        capsys.readouterr()
+        ignored = ("elapsed_seconds", "corpus_dir", "graph_dir")
+        assert load_results(stored, ignored) == load_results(memory, ignored)
+
+    def test_bare_store_flags_equal_omitting_them(self, tmp_path, capsys):
+        plain, bare = tmp_path / "plain", tmp_path / "bare"
+        assert main(["run", "fig15", "--preset", "tiny", "--seed", "3",
+                     "--json", str(plain)]) == 0
+        assert main(["run", "fig15", "--preset", "tiny", "--seed", "3",
+                     "--corpus", "--graph", "--json", str(bare)]) == 0
+        assert "temporary" not in capsys.readouterr().out
+        expected = load_results(plain)
+        assert "corpus_dir" not in expected["fig15.json"]["metadata"]
+        assert load_results(bare) == expected
 
 
 class TestObservabilityFlags:
