@@ -8,12 +8,11 @@ differ.
 
 Usage::
 
-    python .github/scripts/compare_results.py EXPECTED_DIR ACTUAL_DIR \\
-        [--ignore elapsed_seconds corpus_dir graph_dir]
+    python .github/scripts/compare_results.py EXPECTED_DIR ACTUAL_DIR
 
 Exits non-zero, naming each differing file and key, if the two
 directories hold different file sets or any result differs outside the
-ignored metadata keys.
+metadata keys ``elapsed_seconds``, ``corpus_dir`` and ``graph_dir``.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ import json
 import sys
 from pathlib import Path
 
-DEFAULT_IGNORED = ("elapsed_seconds", "corpus_dir", "graph_dir")
+IGNORED = frozenset({"elapsed_seconds", "corpus_dir", "graph_dir"})
 
 
-def load(path: Path, ignored: set[str]) -> dict:
+def load(path: Path) -> dict:
     payload = json.loads(path.read_text())
     payload["metadata"] = {
-        key: value for key, value in payload["metadata"].items() if key not in ignored
+        key: value for key, value in payload["metadata"].items() if key not in IGNORED
     }
     return payload
 
@@ -38,9 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("expected", type=Path)
     parser.add_argument("actual", type=Path)
-    parser.add_argument("--ignore", nargs="*", default=list(DEFAULT_IGNORED), metavar="KEY")
     args = parser.parse_args(argv)
-    ignored = set(args.ignore)
 
     expected = sorted(path.name for path in args.expected.glob("*.json"))
     actual = sorted(path.name for path in args.actual.glob("*.json"))
@@ -57,15 +54,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     differing = []
     for name in expected:
-        want = load(args.expected / name, ignored)
-        got = load(args.actual / name, ignored)
+        want = load(args.expected / name)
+        got = load(args.actual / name)
         if want != got:
             keys = sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
             differing.append(f"{name} ({', '.join(keys)})")
     if differing:
         print("error: results differ: " + "; ".join(differing), file=sys.stderr)
         return 1
-    print(f"{len(expected)} result file(s) identical (ignoring {', '.join(sorted(ignored))})")
+    print(f"{len(expected)} result file(s) identical (ignoring {', '.join(sorted(IGNORED))})")
     return 0
 
 

@@ -190,8 +190,6 @@ def _counts_at(
 def monitor_scenario(
     scenario: "ColumnarScenario",
     interval_minutes: int = DEFAULT_PROBE_INTERVAL_MINUTES,
-    start_minute: int = 0,
-    end_minute: int | None = None,
 ) -> MonitoringLog:
     """The monitoring log of ``scenario``, derived from its columns.
 
@@ -208,13 +206,10 @@ def monitor_scenario(
     """
     if interval_minutes <= 0:
         raise ConfigurationError("the probe interval must be positive")
-    end_minute = scenario.clock.window_minutes if end_minute is None else end_minute
-    if end_minute <= start_minute:
-        raise ConfigurationError("the monitoring window must have positive length")
     descriptors = scenario.descriptors
     n = len(descriptors)
     with obs.span("monitor/columnar", domains=n, interval_minutes=interval_minutes):
-        ticks = np.arange(start_minute, end_minute, interval_minutes, dtype=np.int64)
+        ticks = np.arange(0, scenario.clock.window_minutes, interval_minutes, dtype=np.int64)
         inst = scenario.user_instance.astype(np.int64)
         users = _counts_at(inst, scenario.user_created, n, ticks)
         toots = _counts_at(inst[scenario.toot_author], scenario.toot_created, n, ticks)
