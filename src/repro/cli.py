@@ -478,19 +478,24 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
-    from repro import build_scenario, collect_datasets
-    from repro.crawler import FollowerGraphCrawler, SimulatedTransport, TootCrawler
+    from repro import build_scenario
+    from repro.crawler import (
+        FollowerGraphCrawler,
+        InstanceMonitor,
+        SimulatedTransport,
+        TootCrawler,
+    )
     from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
 
     output = Path(args.output_dir)
     network = build_scenario(args.preset, seed=args.seed)
-    data = collect_datasets(network, monitor_interval_minutes=args.monitor_interval)
     transport = SimulatedTransport(network)
+    log = InstanceMonitor(transport, network.domains(), args.monitor_interval).run()
     toot_crawl = TootCrawler(transport, threads=4).crawl()
     graph_crawl = FollowerGraphCrawler(transport, threads=4).crawl()
 
     anonymiser = Anonymiser(salt=args.salt)
-    snapshots = save_snapshots(output / "instance_snapshots.jsonl", data.instances.log)
+    snapshots = save_snapshots(output / "instance_snapshots.jsonl", log)
     toots = save_toot_records(
         output / "toots.jsonl", anonymiser.anonymise_toots(toot_crawl.all_records())
     )
@@ -615,12 +620,11 @@ def _command_experiments(args: argparse.Namespace) -> int:
         [
             experiment.experiment_id,
             experiment.title,
-            experiment.benchmark,
             "yes" if has_runner(experiment.experiment_id) else "-",
         ]
         for experiment in EXPERIMENTS.values()
     ]
-    print(format_table(["id", "title", "benchmark", "runner"], rows, title="Reproducible experiments"))
+    print(format_table(["id", "title", "runner"], rows, title="Reproducible experiments"))
     print("\nrun them with: repro-mastodon run <id> [<id> ...] | --all")
     return 0
 

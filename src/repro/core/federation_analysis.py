@@ -59,14 +59,8 @@ def feeder_summary(toots: TootsDataset) -> dict[str, float]:
     under_10 = sum(1 for p in points if p.home_share < 0.10) / len(points)
     fully_remote = sum(1 for p in points if p.home_share == 0.0) / len(points)
 
-    replication = toots.replication_counts()
-    produced: dict[str, int] = {}
-    replicated: dict[str, int] = {}
-    for record in toots.records():
-        produced[record.author_domain] = produced.get(record.author_domain, 0) + 1
-        replicated[record.author_domain] = (
-            replicated.get(record.author_domain, 0) + replication.get(record.url, 0)
-        )
+    produced = toots.toots_per_instance()
+    replicated = toots.replicated_per_instance()
     domains = sorted(produced)
     correlation = 0.0
     if len(domains) >= 2:

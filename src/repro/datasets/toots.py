@@ -247,6 +247,31 @@ class TootsDataset:
         """Home/remote composition for every observed instance."""
         return [self.timeline_composition(domain) for domain in self.observed_instances()]
 
+    def replicated_per_instance(self) -> dict[str, int]:
+        """Per instance, the remote copies of its home toots, summed.
+
+        Keyed like :meth:`toots_per_instance`.  The corpus backend
+        answers with one ``home_code`` bincount weighted by the
+        per-toot replication counts, without materialising records.
+        """
+        if self._by_home_instance is None:
+            home_counts = self.corpus.home_toot_counts
+            sums = np.bincount(
+                self.corpus.column("home_code"),
+                weights=self.corpus.replication_counts(),
+                minlength=self.corpus.domains.shape[0],
+            )
+            return {
+                domain: int(total)
+                for domain, total in zip(self.corpus.domains.tolist(), sums.tolist())
+                if domain in home_counts
+            }
+        replication = self.replication_counts()
+        return {
+            domain: sum(replication.get(record.url, 0) for record in records)
+            for domain, records in self._by_home_instance.items()
+        }
+
     def replication_counts(self) -> dict[str, int]:
         """For each toot URL, how many *other* instances held a copy.
 

@@ -6,8 +6,8 @@ figure and table the paper reports; this package makes each entry
 registered against its experiment id; :class:`ExperimentContext` builds
 the shared pipeline (scenario, datasets, rankings, placements) lazily
 and exactly once; :func:`run_experiments` evaluates any subset of the
-paper over that shared context.  The CLI's ``run`` subcommand and every
-``benchmarks/bench_*`` timing harness are thin wrappers over this API::
+paper over that shared context.  The CLI's ``run`` subcommand and the
+paper-shape tests are thin wrappers over this API::
 
     from repro.experiments import run_experiments
 

@@ -267,22 +267,23 @@ class ExperimentContext:
             geo=scenario.geo,
             certificates=scenario.certificates,
         )
-        corpus = self._open_or_write(
-            self.corpus_dir,
-            "corpus",
-            CorpusStore,
-            lambda path: scenario.save_corpus(path, self.corpus_shard_size),
-        )
-        graph_store = self._open_or_write(
-            self.graph_dir,
-            "graph",
-            GraphStore,
-            lambda path: scenario.save_graph(path, self.graph_shard_size),
-        )
+
+        def save_corpus(path: Path) -> CorpusStore:
+            with obs.span("scenario/save_corpus"):
+                return scenario.save_corpus(path, self.corpus_shard_size)
+
+        def save_graph(path: Path) -> GraphStore:
+            with obs.span("scenario/save_graph"):
+                return scenario.save_graph(path, self.graph_shard_size)
+
+        corpus = self._open_or_write(self.corpus_dir, "corpus", CorpusStore, save_corpus)
+        graph_store = self._open_or_write(self.graph_dir, "graph", GraphStore, save_graph)
+        with obs.span("datasets/graph"):
+            graphs = GraphDataset.from_edges(graph_store.iter_edge_handles())
         return CollectedDatasets(
             instances=instances,
             toots=TootsDataset.from_corpus(corpus),
-            graphs=GraphDataset.from_edges(graph_store.iter_edge_handles()),
+            graphs=graphs,
             corpus=corpus,
             graph_store=graph_store,
             coverage=corpus.coverage,

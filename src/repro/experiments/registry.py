@@ -5,7 +5,7 @@ names every table and figure; this module attaches the callable that
 actually reproduces each one.  Runner modules register themselves with
 the :func:`register_runner` decorator at import time, and
 :func:`runner_for` is the single lookup the rest of the system
-(``Experiment.run``, the CLI, the benchmarks) goes through.
+(``Experiment.run``, the CLI, the tests) goes through.
 """
 
 from __future__ import annotations

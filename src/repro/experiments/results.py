@@ -2,7 +2,7 @@
 
 Every registered experiment runner returns an :class:`ExperimentResult` —
 the machine-readable form of one reproduced figure or table.  The result
-renders to the same fixed-width text the benchmarks print
+renders to the fixed-width text the CLI's ``run`` prints
 (:func:`repro.reporting.tables.format_table`) and round-trips through a
 plain-JSON dictionary, so the CLI's ``--json`` export can be parsed back
 into the exact same object.
@@ -72,7 +72,7 @@ class ResultTable:
         return cls(title=title, headers=header_tuple, rows=tuple(normalised))
 
     def render_text(self) -> str:
-        """The fixed-width text form (what the benchmarks print)."""
+        """The fixed-width text form (what ``run`` prints)."""
         return format_table(self.headers, [list(row) for row in self.rows], title=self.title)
 
     def to_dict(self) -> dict[str, Any]:

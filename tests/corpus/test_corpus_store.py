@@ -140,6 +140,7 @@ class TestDatasetEquivalence:
         assert corpus_toots.home_instances() == record_toots.home_instances()
         assert corpus_toots.toots_per_instance() == record_toots.toots_per_instance()
         assert corpus_toots.toots_per_author() == record_toots.toots_per_author()
+        assert corpus_toots.replicated_per_instance() == record_toots.replicated_per_instance()
         assert corpus_toots.coverage(10**6) == record_toots.coverage(10**6)
         # none of the above touched a record
         assert corpus_toots._records is None

@@ -113,6 +113,10 @@ class TestTimelineComposition:
         assert counts["https://alpha.example/@alice/2"] == 0
         assert counts["https://beta.example/@bob/3"] == 1      # seen on alpha too
 
+    def test_replicated_per_instance_sums_home_toot_copies(self):
+        dataset = make_dataset()
+        assert dataset.replicated_per_instance() == {"alpha.example": 1, "beta.example": 1}
+
 
 class TestFromCrawl:
     def test_from_crawl_against_pipeline(self, datasets):

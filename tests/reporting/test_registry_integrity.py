@@ -1,45 +1,35 @@
-"""Registry integrity: metadata, benchmark scripts and runners stay in sync."""
+"""Registry integrity: metadata, runners and shape checks stay in sync."""
 
 from __future__ import annotations
 
-from collections import Counter
+import ast
 from pathlib import Path
 
 from repro.experiments import has_runner, runnable_ids
 from repro.reporting.experiments import EXPERIMENTS
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+SHAPE_CHECKS = Path(__file__).resolve().parents[1] / "experiments" / "test_paper_shape.py"
 
 
-class TestBenchmarkPaths:
-    def test_every_registered_benchmark_exists_on_disk(self):
-        missing = [
-            experiment.benchmark
-            for experiment in EXPERIMENTS.values()
-            if not (REPO_ROOT / experiment.benchmark).is_file()
-        ]
-        assert not missing, f"registry points at missing benchmark scripts: {missing}"
+class TestShapeChecks:
+    def test_every_runnable_experiment_has_a_shape_check(self):
+        """Every runner but ``correlated`` is checked in ``test_paper_shape.py``.
 
-    def test_no_benchmark_referenced_twice(self):
-        counts = Counter(experiment.benchmark for experiment in EXPERIMENTS.values())
-        duplicates = {path: n for path, n in counts.items() if n > 1}
-        assert not duplicates, f"benchmark scripts referenced by several entries: {duplicates}"
-
-    def test_every_figure_and_table_script_is_registered(self):
-        """Every bench_fig*/bench_table* script belongs to exactly one entry.
-
-        Catches rename drift in both directions: a script renamed without
-        updating the registry shows up as unregistered, and a registry
-        entry pointing at a renamed script fails the exists-on-disk test.
+        ``correlated`` is the one exception: ``GOLDEN_CORRELATED`` in
+        ``tests/engine/test_golden_failure_models.py`` pins its numbers
+        exactly.  A new experiment without a shape check fails here.
         """
-        on_disk = {
-            f"benchmarks/{path.name}"
-            for pattern in ("bench_fig*.py", "bench_table*.py")
-            for path in (REPO_ROOT / "benchmarks").glob(pattern)
+        tree = ast.parse(SHAPE_CHECKS.read_text())
+        checked = {
+            node.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "get_experiment"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
         }
-        referenced = {experiment.benchmark for experiment in EXPERIMENTS.values()}
-        unregistered = on_disk - referenced
-        assert not unregistered, f"benchmark scripts not in the registry: {sorted(unregistered)}"
+        assert checked == set(runnable_ids()) - {"correlated"}
 
 
 class TestRunners:

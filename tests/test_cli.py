@@ -110,7 +110,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "fig12" in output
         assert "table1" in output
-        assert "benchmarks/bench_fig16_random_replication.py" in output
         # every entry is executable, and the listing says so
         assert "runner" in output
 
@@ -147,6 +146,21 @@ class TestCommands:
         assert (tmp_path / "dump" / "instance_snapshots.jsonl").exists()
         assert (tmp_path / "dump" / "toots.jsonl").exists()
         assert (tmp_path / "dump" / "follower_edges.jsonl").exists()
+
+    def test_export_crawls_toots_once(self, tmp_path, capsys, monkeypatch):
+        from repro.crawler import TootCrawler
+
+        calls = []
+        crawl = TootCrawler.crawl
+
+        def counting_crawl(self, *args, **kwargs):
+            calls.append(1)
+            return crawl(self, *args, **kwargs)
+
+        monkeypatch.setattr(TootCrawler, "crawl", counting_crawl)
+        assert main(["export", str(tmp_path / "dump"), "--preset", "tiny", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestRunCommand:
@@ -399,6 +413,16 @@ class TestObservabilityFlags:
         # the process-wide state is reset for the next in-process call
         assert obs.get_tracer() is None
         assert not obs.metrics_enabled()
+
+    def test_collect_phase_spans_its_store_writes_and_graph_build(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(["run", "fig1", "--preset", "tiny", "--seed", "7",
+                     "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        (collect,) = [event for event in events if event["name"] == "phase/collect"]
+        children = {event["name"] for event in events if event["parent"] == collect["span"]}
+        assert {"scenario/save_corpus", "scenario/save_graph", "datasets/graph"} <= children
 
     def test_chrome_trace_loads_as_trace_event_json(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
